@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/hash.h"
+
 namespace nc::compact {
 
 namespace {
@@ -40,14 +42,6 @@ bool separable_rec(const std::vector<std::uint64_t>& target,
       return false;
   }
   return true;
-}
-
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9E3779B97F4A7C15ull;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
 }
 
 }  // namespace
@@ -135,7 +129,7 @@ XCode XCode::greedy(std::size_t n, std::size_t m, unsigned tolerance,
       std::vector<std::uint64_t> col(words, 0);
       unsigned set = 0;
       while (set < weight) {
-        const std::size_t r = splitmix64(rng) % m;
+        const std::size_t r = core::splitmix64(rng) % m;
         const std::uint64_t bit = 1ull << (r % 64);
         if (col[r / 64] & bit) continue;
         col[r / 64] |= bit;

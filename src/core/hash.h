@@ -10,6 +10,7 @@
 // hash_test.cpp's fixed vectors so no caller can drift byte-wise.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -74,6 +75,28 @@ constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   return x ^ (x >> 31);
+}
+
+/// One step of the splitmix64 generator over `state`: returns
+/// mix64(state), then advances the state by the golden-ratio increment.
+/// The seeded backoff jitters and the greedy X-code search draw from it.
+constexpr std::uint64_t splitmix64(std::uint64_t& state) noexcept {
+  const std::uint64_t out = mix64(state);
+  state += 0x9E3779B97F4A7C15ULL;
+  return out;
+}
+
+/// "Equal jitter" for a backoff `d`: a seeded draw from U[d/2, d] in whole
+/// milliseconds. The floor still grows with an exponential backoff and the
+/// spread scales with it, so parties that failed together (workers after
+/// one disk hiccup, clients after one dropped burst) do not retry in
+/// lockstep. One splitmix64 step per draw.
+inline std::chrono::milliseconds equal_jitter(
+    std::uint64_t& state, std::chrono::milliseconds d) noexcept {
+  const auto half = d.count() / 2;
+  const auto span = static_cast<std::uint64_t>(d.count() - half + 1);
+  return std::chrono::milliseconds(
+      half + static_cast<std::int64_t>(splitmix64(state) % span));
 }
 
 }  // namespace nc::core

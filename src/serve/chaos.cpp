@@ -3,16 +3,11 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/hash.h"
+
 namespace nc::serve {
 
 namespace {
-
-std::uint64_t splitmix64(std::uint64_t& state) noexcept {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
 
 bool matches(ChaosRule::Op rule, ChaosRule::Op op) noexcept {
   return rule == ChaosRule::Op::kAny || rule == op;
@@ -145,10 +140,7 @@ const ChaosRule* ChaosStream::claim(ChaosRule::Op op) {
 std::chrono::milliseconds ChaosStream::jittered(std::chrono::milliseconds d) {
   if (d.count() <= 1) return d;
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto half = d.count() / 2;
-  const auto span = static_cast<std::uint64_t>(d.count() - half + 1);
-  return std::chrono::milliseconds(
-      half + static_cast<std::int64_t>(splitmix64(rng_) % span));
+  return core::equal_jitter(rng_, d);
 }
 
 std::optional<std::size_t> ChaosStream::read_some(

@@ -2,16 +2,11 @@
 
 #include <algorithm>
 
+#include "core/hash.h"
+
 namespace nc::serve {
 
 namespace {
-
-std::uint64_t splitmix64(std::uint64_t& state) noexcept {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
 
 bool retryable(ErrorCode code) noexcept {
   // Rejections that a later attempt can outlive: transient overload, a cap
@@ -38,19 +33,11 @@ RetryingClient::RetryingClient(Connect connect, RetryPolicy policy)
   reader_ = std::make_unique<FrameReader>(*stream_, FrameLimits{});
 }
 
-std::uint64_t RetryingClient::jitter(std::uint64_t span) {
-  return span <= 1 ? 0 : splitmix64(rng_) % span;
-}
-
 void RetryingClient::arm(Pending& p) {
   p.backoff = p.backoff.count() == 0
                   ? policy_.initial_backoff
                   : std::min(p.backoff * 2, policy_.backoff_cap);
-  const auto half = p.backoff.count() / 2;
-  const auto span = static_cast<std::uint64_t>(p.backoff.count() - half + 1);
-  p.next_retry = clock_.now() + std::chrono::milliseconds(
-                                    half + static_cast<std::int64_t>(
-                                               jitter(span)));
+  p.next_retry = clock_.now() + core::equal_jitter(rng_, p.backoff);
 }
 
 void RetryingClient::reconnect() {
@@ -112,9 +99,33 @@ std::uint64_t RetryingClient::submit(FrameType type,
   return seq;
 }
 
-void RetryingClient::resolve(
-    std::uint64_t seq, Outcome outcome,
-    std::vector<std::pair<std::uint64_t, Outcome>>& out) {
+bool RetryingClient::retransmit(std::uint64_t seq, Pending& p, bool timer,
+                                Resolved& out) {
+  if (p.transmits >= policy_.max_attempts) {
+    Outcome o;
+    o.status = Outcome::Status::kExhausted;
+    o.detail = "retransmit attempts exhausted";
+    resolve(seq, std::move(o), out);
+    return true;
+  }
+  if (policy_.retry_budget != 0 && budget_spent_ >= policy_.retry_budget) {
+    ++stats_.budget_denied;
+    Outcome o;
+    o.status = Outcome::Status::kExhausted;
+    o.detail = "client retry budget spent";
+    resolve(seq, std::move(o), out);
+    return true;
+  }
+  if (timer) ++stats_.timeouts;
+  ++stats_.retransmits;
+  ++budget_spent_;
+  if (!transmit(seq, p, false)) return false;  // reconnected; re-armed
+  arm(p);
+  return true;
+}
+
+void RetryingClient::resolve(std::uint64_t seq, Outcome outcome,
+                             Resolved& out) {
   const auto it = pending_.find(seq);
   if (it == pending_.end()) return;
   outcome.transmits = it->second.transmits;
@@ -126,43 +137,15 @@ void RetryingClient::resolve(
   out.emplace_back(seq, std::move(outcome));
 }
 
-std::vector<std::pair<std::uint64_t, RetryingClient::Outcome>>
-RetryingClient::poll(std::chrono::milliseconds wait) {
-  std::vector<std::pair<std::uint64_t, Outcome>> out;
+RetryingClient::Resolved RetryingClient::poll(std::chrono::milliseconds wait) {
+  Resolved out;
   const auto now = clock_.now();
 
   // 1. Fire due retransmits (and give up on exhausted requests).
   for (auto it = pending_.begin(); it != pending_.end();) {
-    Pending& p = it->second;
-    if (now < p.next_retry) {
-      ++it;
-      continue;
-    }
-    if (p.transmits >= policy_.max_attempts) {
-      const std::uint64_t seq = it->first;
-      ++it;
-      Outcome o;
-      o.status = Outcome::Status::kExhausted;
-      o.detail = "retransmit attempts exhausted";
-      resolve(seq, std::move(o), out);
-      continue;
-    }
-    if (policy_.retry_budget != 0 && budget_spent_ >= policy_.retry_budget) {
-      ++stats_.budget_denied;
-      const std::uint64_t seq = it->first;
-      ++it;
-      Outcome o;
-      o.status = Outcome::Status::kExhausted;
-      o.detail = "client retry budget spent";
-      resolve(seq, std::move(o), out);
-      continue;
-    }
-    ++stats_.timeouts;
-    ++stats_.retransmits;
-    ++budget_spent_;
-    if (!transmit(it->first, p, false)) return out;  // reconnected; re-armed
-    arm(p);
-    ++it;
+    const auto due = it++;  // retransmit() may resolve (erase) `due`
+    if (now < due->second.next_retry) continue;
+    if (!retransmit(due->first, due->second, true, out)) return out;
   }
 
   // 2. Fire due hedges: one duplicate per request, not counted against the
@@ -196,11 +179,29 @@ RetryingClient::poll(std::chrono::milliseconds wait) {
       break;
   }
   Frame& frame = r.frame;
-  if (frame.type == FrameType::kError && frame.seq == 0) {
-    // Frame-layer report from the server: some transmit of ours was
-    // mangled in flight; the retransmit timer recovers the victim.
-    ++stats_.frame_errors;
-    return out;
+  ParsedError err;
+  if (frame.type == FrameType::kError) {
+    try {
+      err = parse_error_payload(frame.payload);
+    } catch (const std::exception&) {
+      ++stats_.frame_errors;
+      return out;
+    }
+    if (err.code < ErrorCode::kBadType) {
+      // Frame-layer report: some transmit of ours was mangled in flight.
+      // Seq 0 names no victim, so its retransmit timer recovers it. An
+      // echoed seq was vouched for by the header CRC: a mangled payload
+      // (kBadCrc) is resent at once, and kOversized resolves below as a
+      // typed error -- resending the same frame cannot help.
+      ++stats_.frame_errors;
+      const auto victim = pending_.find(frame.seq);
+      if (victim == pending_.end()) return out;
+      if (err.code == ErrorCode::kBadCrc) {
+        retransmit(victim->first, victim->second, false, out);
+        return out;
+      }
+      if (err.code != ErrorCode::kOversized) return out;
+    }
   }
   const auto it = pending_.find(frame.seq);
   if (it == pending_.end()) {
@@ -213,13 +214,6 @@ RetryingClient::poll(std::chrono::milliseconds wait) {
   }
   Pending& p = it->second;
   if (frame.type == FrameType::kError) {
-    ParsedError err;
-    try {
-      err = parse_error_payload(frame.payload);
-    } catch (const std::exception&) {
-      ++stats_.frame_errors;
-      return out;
-    }
     if (retryable(err.code)) {
       ++stats_.typed_rejections;
       if (err.code == ErrorCode::kDeadlineExceeded)

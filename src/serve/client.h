@@ -23,6 +23,11 @@
 // the policy sets one; a kDeadlineExceeded reply is retryable -- the
 // retransmit carries a fresh budget and likely hits the server's cache.
 //
+// A frame-layer error the server echoes with the request's seq (it does so
+// when the header CRC vouched for the seq) names its victim: a kBadCrc is
+// retransmitted at once instead of waiting out the timer, and a kOversized
+// resolves as a typed error. A seq-0 frame error is left to the timer.
+//
 // Threading: one owner thread per instance. submit() enqueues and
 // transmits; poll() pumps I/O, fires due retransmits and hedges, and
 // returns resolved requests. All waits are bounded; time is read through
@@ -97,14 +102,16 @@ class RetryingClient {
     bool hedge_won = false;  // resolved by the hedge, not a timer retry
   };
 
+  /// Requests resolved by one poll(), as (seq, outcome) pairs.
+  using Resolved = std::vector<std::pair<std::uint64_t, Outcome>>;
+
   /// Enqueues and transmits a request; returns its seq.
   std::uint64_t submit(FrameType type, std::vector<std::uint8_t> payload);
 
   /// Pumps I/O for up to `wait`: fires due retransmits and hedges, reads
   /// replies, reconnects on transport faults. Returns every request that
   /// resolved during the call.
-  std::vector<std::pair<std::uint64_t, Outcome>> poll(
-      std::chrono::milliseconds wait);
+  Resolved poll(std::chrono::milliseconds wait);
 
   /// Convenience: submit one request and poll until it resolves or
   /// `overall` elapses (nullopt = still unresolved, left outstanding).
@@ -119,7 +126,7 @@ class RetryingClient {
     std::uint64_t timeouts = 0;     // retransmits fired by the timer alone
     std::uint64_t typed_rejections = 0;  // retryable typed errors received
     std::uint64_t deadline_rejections = 0;  // of those, kDeadlineExceeded
-    std::uint64_t frame_errors = 0;      // seq-0 frame-layer error frames
+    std::uint64_t frame_errors = 0;      // frame-layer error frames
     std::uint64_t duplicates = 0;  // unexplained duplicate replies
     std::uint64_t hedges = 0;
     std::uint64_t hedge_wins = 0;
@@ -149,9 +156,11 @@ class RetryingClient {
   /// fault (after arranging the reconnect).
   bool transmit(std::uint64_t seq, Pending& p, bool is_hedge);
   void arm(Pending& p);  // schedules next_retry with jittered backoff
-  std::uint64_t jitter(std::uint64_t span);
-  void resolve(std::uint64_t seq, Outcome outcome,
-               std::vector<std::pair<std::uint64_t, Outcome>>& out);
+  /// Transmits `seq` again (`timer`: fired by its retransmit timer), or
+  /// resolves it kExhausted when its attempts or the client-wide retry
+  /// budget are spent. Returns false on a transport fault, like transmit.
+  bool retransmit(std::uint64_t seq, Pending& p, bool timer, Resolved& out);
+  void resolve(std::uint64_t seq, Outcome outcome, Resolved& out);
 
   Connect connect_;
   RetryPolicy policy_;

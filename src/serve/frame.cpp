@@ -278,6 +278,7 @@ FrameReader::Result FrameReader::parse_step(core::Watchdog& watchdog,
     if (length > limits_.max_payload) {
       // Rejected before any payload is buffered: a forged length cannot
       // make the reader allocate.
+      r.frame.seq = read_le64(buffer_.data() + 8);  // header CRC vouched
       consume(1);
       resyncing_ = true;
       r.status = Status::kProtocolError;
@@ -304,6 +305,7 @@ FrameReader::Result FrameReader::parse_step(core::Watchdog& watchdog,
       return r;
     }
     if (want != got) {
+      r.frame.seq = read_le64(buffer_.data() + 8);  // header CRC vouched
       consume(1);
       resyncing_ = true;
       r.status = Status::kProtocolError;

@@ -39,7 +39,8 @@
 //  * a frame whose magic/version/length/CRC check fails is reported as ONE
 //    typed protocol error, then the reader silently scans forward to the
 //    next magic (resync) -- a corrupted frame costs one error reply, never
-//    the connection;
+//    the connection. When the header CRC passed (kBadCrc, kOversized) the
+//    error carries the header's seq, so the reply names its request;
 //  * a stream that ends mid-frame reports kTruncated, then clean EOF;
 //  * an oversized declared length is rejected BEFORE buffering the payload
 //    (a forged length cannot make the server allocate or stall);
@@ -175,6 +176,9 @@ class FrameReader {
 
   struct Result {
     Status status = Status::kEof;
+    /// The frame on kFrame. On a kBadCrc or kOversized protocol error only
+    /// `frame.seq` is set: the header's seq, which the header CRC vouched
+    /// for, so the reply can name the rejected request. 0 otherwise.
     Frame frame;
     ErrorCode error = ErrorCode::kBadMagic;
     std::string detail;

@@ -92,7 +92,7 @@ struct LoadgenStats {
   std::uint64_t byte_mismatches = 0;  // success reply != serial reference
   std::uint64_t typed_rejections = 0;  // kOverloaded / kInflightLimit seen
   std::uint64_t decode_failures = 0;   // kDecodeFailed replies
-  std::uint64_t frame_errors = 0;     // frame-layer kError (seq 0) received
+  std::uint64_t frame_errors = 0;     // frame-layer kError received
   std::uint64_t corrupted_sends = 0;  // transmits the channel altered
   std::uint64_t retransmits = 0;
   std::uint64_t timeouts = 0;

@@ -5,6 +5,7 @@
 
 #include "bits/test_set.h"
 #include "codec/decode_error.h"
+#include "core/hash.h"
 #include "tune/optimizer.h"
 
 namespace nc::serve {
@@ -23,13 +24,6 @@ std::uint64_t micros_since(std::chrono::steady_clock::time_point t0) {
       std::chrono::duration_cast<std::chrono::microseconds>(d).count());
 }
 
-std::uint64_t splitmix64(std::uint64_t& state) noexcept {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
 /// Peeks the CodecSpec prefix shared by encode and decode payloads; the
 /// scheduler batches on it without paying for a full parse.
 CodecSpec peek_spec(const std::vector<std::uint8_t>& payload) {
@@ -43,6 +37,59 @@ CodecSpec peek_spec(const std::vector<std::uint8_t>& payload) {
   for (std::size_t i = 0; i < codec::kNumClasses; ++i)
     spec.lengths[i] = payload[4 + i];
   return spec;
+}
+
+std::vector<std::uint8_t> encode_artifact(
+    const codec::NineCoded& coder, const std::vector<std::uint8_t>& payload) {
+  const EncodeRequest er = parse_encode_request(payload);
+  return trits_payload(coder.encode(er.tests.flatten()));
+}
+
+std::vector<std::uint8_t> decode_artifact(
+    const codec::NineCoded& coder, const std::vector<std::uint8_t>& payload,
+    const core::Deadline& deadline) {
+  const DecodeRequest dr = parse_decode_request(payload);
+  if (dr.width != 0 && dr.patterns > kMaxDecodeSymbols / dr.width)
+    throw std::runtime_error("decode geometry too large");
+  const std::size_t original = dr.patterns * dr.width;
+  // Same budget shape as the decompression fleet: linear in the work a
+  // well-formed stream needs, so only runaway streams trip it. The request
+  // deadline rides along, cancelling an in-flight decode the moment its
+  // client stops waiting.
+  core::Watchdog watchdog(64 + 8 * (original + dr.te.size()), deadline);
+  const codec::DecodeOutcome outcome =
+      coder.decode_checked(dr.te, original, &watchdog);
+  return test_set_payload(
+      bits::TestSet::unflatten(outcome.data, dr.patterns, dr.width));
+}
+
+std::vector<std::uint8_t> tune_artifact(
+    const std::vector<std::uint8_t>& payload, codec::CodecImpl impl) {
+  const TuneRequest tr = parse_tune_request(payload);
+  tune::TuneConfig cfg;
+  cfg.seed = tr.seed;
+  cfg.generations = tr.generations;
+  cfg.population = tr.population;
+  cfg.weights =
+      tune::TuneWeights{tr.weight_cr, tr.weight_tat, tr.weight_gates, tr.p};
+  cfg.impl = impl;
+  // Serial fitness evaluation: this code already runs on a pool worker, and
+  // nesting a blocking parallel_map onto the same pool would deadlock a
+  // small pool (the task would wait on subtasks queued behind itself).
+  // Results are jobs-invariant by contract, so the artifact is identical
+  // either way.
+  cfg.jobs = 1;
+  const tune::TuneResult result = tune::run_tune(tr.tests, cfg);
+  TuneReplyData reply;
+  reply.genome = result.best;
+  reply.score = result.best_report.score;
+  reply.cr_percent = result.best_report.cr_percent;
+  reply.tat_percent = result.best_report.tat_percent;
+  reply.fsm_gates = result.best_report.fsm_gates;
+  reply.datapath_gates = result.best_report.datapath_gates;
+  reply.evaluations = result.evaluations;
+  reply.invalid_genomes = result.invalid_genomes;
+  return to_payload(reply);
 }
 
 }  // namespace
@@ -179,10 +226,10 @@ void Server::reader_loop(std::shared_ptr<Connection> conn) {
           handle_frame(conn, std::move(r.frame));
           break;
         case FrameReader::Status::kProtocolError:
-          // One typed error frame per corrupted frame; seq 0 because the
-          // corrupted header's seq is untrustworthy.
+          // One typed error frame per corrupted frame. Its seq is the
+          // header's when the header CRC vouched for it, else 0.
           metrics_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-          send_error(conn, 0, r.error, r.detail);
+          send_error(conn, r.frame.seq, r.error, r.detail);
           break;
         case FrameReader::Status::kTimeout:
           if (stopping_.load()) return;
@@ -326,29 +373,12 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
         send_error(conn, frame.seq, ErrorCode::kBadPayload, e.what());
         return;
       }
-      // Resolve the published stream through the same tiers as artifacts:
-      // L1, then the persistent store (promoting a hit), else unknown.
+      // Resolve the published stream through the same tiers as artifacts;
+      // there is nothing to compute, so a miss everywhere is unknown.
       const CacheKey key{chk.ref.lo, chk.ref.hi};
-      std::vector<std::uint8_t> published;
-      bool found = false;
-      if (auto hit = cache_.get(key)) {
-        published = std::move(*hit);
-        found = true;
-      } else if (store::ArtifactTier* tier = store_tier(); tier != nullptr) {
-        try {
-          store::GetResult r = tier->get(store::Key{key.lo, key.hi});
-          if (r.status == store::GetStatus::kHit) {
-            published = std::move(r.payload);
-            cache_.put(key, published);
-            found = true;
-          } else if (r.status == store::GetStatus::kCorrupt) {
-            metrics_.revalidation_failures.fetch_add(
-                1, std::memory_order_relaxed);
-          }
-        } catch (const std::exception&) {
-        }
-      }
-      if (!found) {
+      const std::optional<std::vector<std::uint8_t>> published =
+          resolve(key, nullptr);
+      if (!published) {
         metrics_.signature_unknown_refs.fetch_add(1,
                                                   std::memory_order_relaxed);
         send_error(conn, frame.seq, ErrorCode::kUnknownSignature,
@@ -356,7 +386,7 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
         return;
       }
       try {
-        const SignaturePublish pub = parse_signature_publish(published);
+        const SignaturePublish pub = parse_signature_publish(*published);
         const compact::CheckVerdict verdict = compact::check_signatures(
             pub.expected, chk.observed, pub.outputs_per_cycle);
         metrics_.signature_checks.fetch_add(1, std::memory_order_relaxed);
@@ -392,9 +422,9 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
         req.deadline = core::Deadline::after(
             std::chrono::milliseconds(budget_ms), config_.clock);
       if (frame.type == FrameType::kTuneRequest) {
-        // Tune requests keep the default spec: the scheduler then groups
-        // them into one batch (the spec is unused by the tune path, which
-        // carries its whole configuration in the payload). Payload
+        // Tune requests keep the default spec, which only feeds the cache
+        // key: the payload carries the whole configuration, and the
+        // scheduler runs each one as a batch of its own. Payload
         // validation happens on the worker, like encode/decode bodies.
         metrics_.tune_requests.fetch_add(1, std::memory_order_relaxed);
       } else {
@@ -459,9 +489,13 @@ void Server::scheduler_loop() {
                    [this] { return stopping_.load() || !queue_.empty(); });
     if (stopping_.load()) break;
 
+    // A tune search is a batch of its own: grouped with the encodes that
+    // share its default spec, it would hold them for the whole search.
+    const bool solo = queue_.front().type == FrameType::kTuneRequest;
+
     // Linger briefly so compatible requests arriving just behind the first
     // one join its batch instead of forming singleton batches.
-    if (queue_.size() < config_.max_batch &&
+    if (!solo && queue_.size() < config_.max_batch &&
         config_.batch_window.count() > 0) {
       queue_cv_.wait_for(lock, config_.batch_window, [this] {
         return stopping_.load() || queue_.size() >= config_.max_batch;
@@ -469,15 +503,20 @@ void Server::scheduler_loop() {
       if (stopping_.load()) break;
     }
 
-    const CodecSpec spec = queue_.front().spec;
     std::vector<Request> batch;
-    for (auto it = queue_.begin();
-         it != queue_.end() && batch.size() < config_.max_batch;) {
-      if (it->spec == spec) {
-        batch.push_back(std::move(*it));
-        it = queue_.erase(it);
-      } else {
-        ++it;
+    if (solo) {
+      batch.push_back(std::move(queue_.front()));
+      queue_.pop_front();
+    } else {
+      const CodecSpec spec = queue_.front().spec;
+      for (auto it = queue_.begin();
+           it != queue_.end() && batch.size() < config_.max_batch;) {
+        if (it->type != FrameType::kTuneRequest && it->spec == spec) {
+          batch.push_back(std::move(*it));
+          it = queue_.erase(it);
+        } else {
+          ++it;
+        }
       }
     }
     lock.unlock();
@@ -534,73 +573,35 @@ void Server::run_batch(std::vector<Request> batch) {
     }
   }
   metrics_.batch_latency.record(micros_since(t0));
-  {
-    std::lock_guard<std::mutex> lock(batch_mutex_);
-    batches_inflight_.fetch_sub(1);
-  }
+  // Notify under the lock: once stop() sees zero it may destroy the CV.
+  std::lock_guard<std::mutex> lock(batch_mutex_);
+  batches_inflight_.fetch_sub(1);
   batches_done_cv_.notify_all();
 }
 
 void Server::process_request(const codec::NineCoded& coder,
                              const Request& req) {
-  if (req.type == FrameType::kTuneRequest) {
-    process_tune(req);
-    return;
-  }
-  const FrameType reply_type = req.type == FrameType::kEncodeRequest
-                                   ? FrameType::kEncodeReply
-                                   : FrameType::kDecodeReply;
   try {
+    // The whole payload is the content address, so "same input, same
+    // spec" (for tune: same TestSet, weights and seed) is by construction
+    // the same artifact -- in L1, in the store across restarts, everywhere.
     const CacheKey key =
         cache_key(req.type, req.spec, req.payload.data(), req.payload.size());
-    const store::Key skey{key.lo, key.hi};
+    FrameType reply_type = FrameType::kTuneReply;
     std::vector<std::uint8_t> out;
-    bool resolved = false;
-    store::ArtifactTier* tier = store_tier();
-    if (auto hit = cache_.get(key)) {
-      metrics_.l1_hits.fetch_add(1, std::memory_order_relaxed);
-      out = std::move(*hit);
-      resolved = true;
-    } else if (tier != nullptr) {
-      // L2: the persistent store. Any failure here -- corrupt record, I/O
-      // error -- degrades to a miss; the request still computes.
-      try {
-        store::GetResult r = tier->get(skey);
-        if (r.status == store::GetStatus::kHit) {
-          metrics_.l2_hits.fetch_add(1, std::memory_order_relaxed);
-          out = std::move(r.payload);
-          cache_.put(key, out);  // promote to L1
-          resolved = true;
-        } else if (r.status == store::GetStatus::kCorrupt) {
-          metrics_.revalidation_failures.fetch_add(1,
-                                                   std::memory_order_relaxed);
-        }
-      } catch (const std::exception&) {
-      }
-    }
-    if (!resolved) {
-      metrics_.misses.fetch_add(1, std::memory_order_relaxed);
-      if (req.type == FrameType::kEncodeRequest) {
-        const EncodeRequest er = parse_encode_request(req.payload);
-        out = trits_payload(coder.encode(er.tests.flatten()));
-      } else {
-        const DecodeRequest dr = parse_decode_request(req.payload);
-        if (dr.width != 0 && dr.patterns > kMaxDecodeSymbols / dr.width)
-          throw std::runtime_error("decode geometry too large");
-        const std::size_t original = dr.patterns * dr.width;
-        // Same budget shape as the decompression fleet: linear in the work
-        // a well-formed stream needs, so only runaway streams trip it. The
-        // request deadline rides along, cancelling an in-flight decode the
-        // moment its client stops waiting.
-        core::Watchdog watchdog(64 + 8 * (original + dr.te.size()),
-                                req.deadline);
-        const codec::DecodeOutcome outcome =
-            coder.decode_checked(dr.te, original, &watchdog);
-        out = test_set_payload(
-            bits::TestSet::unflatten(outcome.data, dr.patterns, dr.width));
-      }
-      cache_.put(key, out);
-      if (tier != nullptr) store_write_through(skey, out);
+    if (req.type == FrameType::kTuneRequest) {
+      out = *resolve(key, [&] {
+        metrics_.tune_searches.fetch_add(1, std::memory_order_relaxed);
+        return tune_artifact(req.payload, config_.codec_impl);
+      });
+    } else if (req.type == FrameType::kEncodeRequest) {
+      reply_type = FrameType::kEncodeReply;
+      out = *resolve(key, [&] { return encode_artifact(coder, req.payload); });
+    } else {
+      reply_type = FrameType::kDecodeReply;
+      out = *resolve(key, [&] {
+        return decode_artifact(coder, req.payload, req.deadline);
+      });
     }
     // Shed before reply-write: computing may have outlived the deadline
     // (the artifact still landed in the cache for the retry to hit).
@@ -608,14 +609,13 @@ void Server::process_request(const codec::NineCoded& coder,
       metrics_.deadline_shed_write.fetch_add(1, std::memory_order_relaxed);
       send_error(req.conn, req.seq, ErrorCode::kDeadlineExceeded,
                  "deadline expired before reply write");
-      finish_request(req);
-      return;
+    } else {
+      Frame reply;
+      reply.type = reply_type;
+      reply.seq = req.seq;
+      reply.payload = std::move(out);
+      send_frame(req.conn, reply);
     }
-    Frame reply;
-    reply.type = reply_type;
-    reply.seq = req.seq;
-    reply.payload = std::move(out);
-    send_frame(req.conn, reply);
   } catch (const codec::DecodeError& e) {
     // A watchdog trip caused by the request's own deadline is not a codec
     // failure -- the stream may be perfectly well-formed.
@@ -623,11 +623,10 @@ void Server::process_request(const codec::NineCoded& coder,
       metrics_.deadline_shed_decode.fetch_add(1, std::memory_order_relaxed);
       send_error(req.conn, req.seq, ErrorCode::kDeadlineExceeded,
                  "deadline expired mid-decode");
-      finish_request(req);
-      return;
+    } else {
+      metrics_.decode_failures.fetch_add(1, std::memory_order_relaxed);
+      send_error(req.conn, req.seq, ErrorCode::kDecodeFailed, e.what());
     }
-    metrics_.decode_failures.fetch_add(1, std::memory_order_relaxed);
-    send_error(req.conn, req.seq, ErrorCode::kDecodeFailed, e.what());
   } catch (const std::exception& e) {
     metrics_.bad_payloads.fetch_add(1, std::memory_order_relaxed);
     send_error(req.conn, req.seq, ErrorCode::kBadPayload, e.what());
@@ -635,85 +634,45 @@ void Server::process_request(const codec::NineCoded& coder,
   finish_request(req);
 }
 
-void Server::process_tune(const Request& req) {
-  try {
-    // The whole payload (knobs + TD bytes) is the content address, so
-    // "same TestSet, same weights, same seed" is by construction the same
-    // artifact -- in L1, in the store across restarts, everywhere.
-    const CacheKey key =
-        cache_key(req.type, req.spec, req.payload.data(), req.payload.size());
-    const store::Key skey{key.lo, key.hi};
-    std::vector<std::uint8_t> out;
-    bool resolved = false;
-    store::ArtifactTier* tier = store_tier();
-    if (auto hit = cache_.get(key)) {
+std::optional<std::vector<std::uint8_t>> Server::resolve(
+    const CacheKey& key,
+    const std::function<std::vector<std::uint8_t>()>& compute) {
+  const bool counted = static_cast<bool>(compute);
+  const auto from_l1 = [&] {
+    std::optional<std::vector<std::uint8_t>> hit = cache_.get(key);
+    if (hit && counted)
       metrics_.l1_hits.fetch_add(1, std::memory_order_relaxed);
-      out = std::move(*hit);
-      resolved = true;
-    } else if (tier != nullptr) {
-      try {
-        store::GetResult r = tier->get(skey);
-        if (r.status == store::GetStatus::kHit) {
-          metrics_.l2_hits.fetch_add(1, std::memory_order_relaxed);
-          out = std::move(r.payload);
-          cache_.put(key, out);
-          resolved = true;
-        } else if (r.status == store::GetStatus::kCorrupt) {
-          metrics_.revalidation_failures.fetch_add(1,
-                                                   std::memory_order_relaxed);
-        }
-      } catch (const std::exception&) {
+    return hit;
+  };
+  if (auto hit = from_l1()) return hit;
+  const store::Key skey{key.lo, key.hi};
+  store::ArtifactTier* tier = store_tier();
+  if (tier != nullptr) {
+    // L2: the persistent store. Any failure here -- corrupt record, I/O
+    // error -- degrades to a miss.
+    try {
+      store::GetResult r = tier->get(skey);
+      if (r.status == store::GetStatus::kHit) {
+        // A concurrent twin that computed this artifact put it in L1 before
+        // writing it through, so recheck L1: l2_hits counts only what
+        // memory did not hold.
+        if (auto hit = from_l1()) return hit;
+        if (counted) metrics_.l2_hits.fetch_add(1, std::memory_order_relaxed);
+        cache_.put(key, r.payload);  // promote to L1
+        return std::move(r.payload);
       }
+      if (r.status == store::GetStatus::kCorrupt)
+        metrics_.revalidation_failures.fetch_add(1,
+                                                 std::memory_order_relaxed);
+    } catch (const std::exception&) {
     }
-    if (!resolved) {
-      metrics_.misses.fetch_add(1, std::memory_order_relaxed);
-      metrics_.tune_searches.fetch_add(1, std::memory_order_relaxed);
-      const TuneRequest tr = parse_tune_request(req.payload);
-      tune::TuneConfig cfg;
-      cfg.seed = tr.seed;
-      cfg.generations = tr.generations;
-      cfg.population = tr.population;
-      cfg.weights =
-          tune::TuneWeights{tr.weight_cr, tr.weight_tat, tr.weight_gates,
-                            tr.p};
-      cfg.impl = config_.codec_impl;
-      // Serial fitness evaluation: this code already runs on a pool
-      // worker, and nesting a blocking parallel_map onto the same pool
-      // would deadlock a small pool (the task would wait on subtasks
-      // queued behind itself). Results are jobs-invariant by contract, so
-      // the artifact is identical either way.
-      cfg.jobs = 1;
-      const tune::TuneResult result = tune::run_tune(tr.tests, cfg);
-      TuneReplyData reply;
-      reply.genome = result.best;
-      reply.score = result.best_report.score;
-      reply.cr_percent = result.best_report.cr_percent;
-      reply.tat_percent = result.best_report.tat_percent;
-      reply.fsm_gates = result.best_report.fsm_gates;
-      reply.datapath_gates = result.best_report.datapath_gates;
-      reply.evaluations = result.evaluations;
-      reply.invalid_genomes = result.invalid_genomes;
-      out = to_payload(reply);
-      cache_.put(key, out);
-      if (tier != nullptr) store_write_through(skey, out);
-    }
-    if (req.deadline.expired()) {
-      metrics_.deadline_shed_write.fetch_add(1, std::memory_order_relaxed);
-      send_error(req.conn, req.seq, ErrorCode::kDeadlineExceeded,
-                 "deadline expired before reply write");
-      finish_request(req);
-      return;
-    }
-    Frame reply;
-    reply.type = FrameType::kTuneReply;
-    reply.seq = req.seq;
-    reply.payload = std::move(out);
-    send_frame(req.conn, reply);
-  } catch (const std::exception& e) {
-    metrics_.bad_payloads.fetch_add(1, std::memory_order_relaxed);
-    send_error(req.conn, req.seq, ErrorCode::kBadPayload, e.what());
   }
-  finish_request(req);
+  if (!counted) return std::nullopt;
+  metrics_.misses.fetch_add(1, std::memory_order_relaxed);
+  std::vector<std::uint8_t> out = compute();
+  cache_.put(key, out);
+  if (tier != nullptr) store_write_through(skey, out);
+  return out;
 }
 
 void Server::send_frame(const std::shared_ptr<Connection>& conn,
@@ -784,13 +743,7 @@ void Server::store_write_through(const store::Key& key,
   for (unsigned attempt = 0; attempt < attempts; ++attempt) {
     if (attempt > 0) {
       metrics_.store_put_retries.fetch_add(1, std::memory_order_relaxed);
-      // Sleep U[backoff/2, backoff]: "equal jitter", so the floor still
-      // grows exponentially and the spread scales with it.
-      const auto half = backoff.count() / 2;
-      const auto span = backoff.count() - half + 1;
-      clock.sleep_for(std::chrono::milliseconds(
-          half + static_cast<std::int64_t>(splitmix64(rng) %
-                                           static_cast<std::uint64_t>(span))));
+      clock.sleep_for(core::equal_jitter(rng, backoff));
       backoff = std::min(backoff * 2, cap);
     }
     try {

@@ -9,8 +9,9 @@
 //     inline replies ------+     (grouping thread)  +--> write mutex
 //
 //  * Each accepted connection gets a reader thread running a FrameReader.
-//    Protocol errors, session/stats requests and admission rejections are
-//    answered inline; encode/decode requests enter the shared queue.
+//    Protocol errors, session/stats/signature requests and admission
+//    rejections are answered inline; encode, decode and tune requests
+//    enter the shared queue.
 //  * Admission control is two-layered and applied before enqueue: a bounded
 //    queue depth (reject with kOverloaded) and a per-client in-flight cap
 //    (reject with kInflightLimit). A rejected request costs one error
@@ -19,13 +20,17 @@
 //    K plus the codeword table -- and hands each group to the thread pool
 //    as one batch, so the coder construction and the scan_half/
 //    classify_halves hot path run against a single coder instance per
-//    batch instead of per request.
-//  * Results are cached content-addressed (cache.h): a hit returns the
+//    batch instead of per request. A tune request is always a batch of
+//    its own, so a search never holds the encodes that share its spec.
+//  * Every artifact goes through one tiered resolve: L1 (in-memory LRU),
+//    then the persistent store (a hit is promoted to L1), else compute,
+//    whose result is put in L1 and written through. A hit returns the
 //    stored reply payload byte-identical to what a miss would compute.
 //
 // Every reply -- success or typed error -- echoes the request's seq, so
-// clients correlate out-of-order replies. All waits are bounded; stop()
-// always completes.
+// clients correlate out-of-order replies. A frame-layer error echoes the
+// header's seq when the header CRC vouched for it (kBadCrc, kOversized)
+// and carries 0 otherwise. All waits are bounded; stop() always completes.
 #pragma once
 
 #include <atomic>
@@ -34,8 +39,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -190,10 +197,17 @@ class Server {
   void handle_frame(const std::shared_ptr<Connection>& conn, Frame frame);
   void scheduler_loop();
   void run_batch(std::vector<Request> batch);
+  /// Resolves the request's artifact with the batch's coder and writes the
+  /// reply or typed error.
   void process_request(const codec::NineCoded& coder, const Request& req);
-  /// Tune requests: resolve through the artifact tiers, else run the
-  /// evolutionary search (serially -- it already occupies a pool worker).
-  void process_tune(const Request& req);
+  /// The tiered lookup: L1, then the store tier (a hit is promoted to L1;
+  /// a corrupt record or I/O error degrades to a miss), else `compute`,
+  /// whose result is put in L1 and written through. With no compute step
+  /// a miss returns nullopt. Hit/miss counters describe artifact
+  /// resolution, so only calls with a compute step feed them.
+  std::optional<std::vector<std::uint8_t>> resolve(
+      const CacheKey& key,
+      const std::function<std::vector<std::uint8_t>()>& compute);
   void send_frame(const std::shared_ptr<Connection>& conn,
                   const Frame& frame);
   void send_error(const std::shared_ptr<Connection>& conn, std::uint64_t seq,

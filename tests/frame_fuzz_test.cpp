@@ -155,6 +155,42 @@ TEST(FrameFuzz, CorruptedFrameBetweenGoodOnesResyncs) {
   EXPECT_LE(errors, 2u);  // ...possibly plus the truncated-tail report
 }
 
+TEST(FrameFuzz, ErrorsEchoSeqOnlyWhenTheHeaderCrcVouchedForIt) {
+  const auto first_error = [](const std::vector<std::uint8_t>& wire,
+                              FrameLimits limits = {}) {
+    auto [writer, reader_end] = make_pipe(1 << 16);
+    writer->write_all(wire.data(), wire.size());
+    writer->close();
+    FrameReader reader(*reader_end, limits);
+    return reader.read(milliseconds(2000));
+  };
+  // Payload flip: the header CRC passed, so its seq names the request.
+  std::vector<std::uint8_t> wire = encode_frame(make_frame(2, 32));
+  wire[kFrameHeaderSize + 5] ^= 0x10;
+  FrameReader::Result r = first_error(wire);
+  ASSERT_EQ(r.status, FrameReader::Status::kProtocolError);
+  EXPECT_EQ(r.error, ErrorCode::kBadCrc);
+  EXPECT_EQ(r.frame.seq, 2u);
+
+  // Seq flip: the header CRC fails, and a seq it did not vouch for is 0.
+  wire = encode_frame(make_frame(2, 32));
+  wire[8] ^= 0x01;
+  r = first_error(wire);
+  ASSERT_EQ(r.status, FrameReader::Status::kProtocolError);
+  EXPECT_EQ(r.error, ErrorCode::kBadHeader);
+  EXPECT_EQ(r.frame.seq, 0u);
+
+  // A declared length over the limit with an intact header: oversized,
+  // and the header CRC vouched for the seq.
+  FrameLimits limits;
+  limits.max_payload = 16;
+  wire = encode_frame(make_frame(5, 32));
+  r = first_error(wire, limits);
+  ASSERT_EQ(r.status, FrameReader::Status::kProtocolError);
+  EXPECT_EQ(r.error, ErrorCode::kOversized);
+  EXPECT_EQ(r.frame.seq, 5u);
+}
+
 TEST(FrameFuzz, OversizedLengthRejectedWithoutBuffering) {
   FrameLimits limits;
   limits.max_payload = 1024;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -114,6 +115,39 @@ TEST(Mix64Test, MatchesPublishedSplitmix64Sequence) {
   const std::uint64_t increment = 0x9E3779B97F4A7C15ull;
   EXPECT_EQ(mix64(1234567), 6457827717110365317ull);
   EXPECT_EQ(mix64(1234567 + increment), 3203168211198807973ull);
+}
+
+// The seeded jitter of the server's write-through retries, the retrying
+// client's retransmit timer and the chaos transport's latency all walk
+// core::splitmix64. These vectors pin the generator and both default
+// backoff schedules, so seeded runs replay bit-identically.
+TEST(Mix64Test, SplitmixStepMatchesThePrivateCopiesItReplaced) {
+  std::uint64_t state = 1;
+  EXPECT_EQ(splitmix64(state), 0x910A2DEC89025CC1ull);
+  EXPECT_EQ(splitmix64(state), 0xBEEB8DA1658EEC67ull);
+  EXPECT_EQ(splitmix64(state), 0xF893A2EEFB32555Eull);
+  EXPECT_EQ(splitmix64(state), 0x71C18690EE42C90Bull);
+  EXPECT_EQ(state, 0x78DDE6E5FD29F055ull);
+}
+
+TEST(Mix64Test, EqualJitterBackoffSequences) {
+  using std::chrono::milliseconds;
+  // RetryingClient defaults: seed 1, 250 ms doubling to a 2000 ms cap.
+  std::uint64_t client = 1;
+  const std::int64_t client_want[] = {148, 340, 512, 1315, 1733, 1639};
+  milliseconds b{250};
+  for (const std::int64_t want : client_want) {
+    EXPECT_EQ(equal_jitter(client, b).count(), want) << "backoff " << b.count();
+    b = std::min(b * 2, milliseconds{2000});
+  }
+  // Server write-through defaults: 1 ms doubling to a 64 ms cap.
+  std::uint64_t server = 0x9e3779b97f4a7c15ull;
+  const std::int64_t server_want[] = {0, 2, 3, 6, 11, 25, 37, 52};
+  b = milliseconds{1};
+  for (const std::int64_t want : server_want) {
+    EXPECT_EQ(equal_jitter(server, b).count(), want) << "backoff " << b.count();
+    b = std::min(b * 2, milliseconds{64});
+  }
 }
 
 TEST(Mix64Test, FleetSeedCompositionVector) {

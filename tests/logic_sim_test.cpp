@@ -33,6 +33,13 @@ struct TruthCase {
   char expected;
 };
 
+// Names each case by its content. Without it gtest prints the raw bytes
+// of the two pointers and the padding, so the test names would change from
+// one process to the next.
+void PrintTo(const TruthCase& tc, std::ostream* os) {
+  *os << tc.type << "(" << tc.pattern << ")=" << tc.expected;
+}
+
 class GateTruth : public ::testing::TestWithParam<TruthCase> {};
 
 TEST_P(GateTruth, ThreeValuedSemantics) {

@@ -1,17 +1,21 @@
 // RetryingClient behavior against a scripted fake peer: jittered backoff
 // retransmits on a virtual clock, retry-budget exhaustion, one-shot hedges,
-// reconnect-on-fault re-arming, duplicate accounting, and the
-// wait-out-the-backoff handling of retryable typed rejections.
+// reconnect-on-fault re-arming, duplicate accounting, the
+// wait-out-the-backoff handling of retryable typed rejections, and the
+// immediate resend of a frame the server reports mangled by seq.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
+#include "bits/test_set.h"
 #include "core/clock.h"
 #include "serve/client.h"
 #include "serve/frame.h"
+#include "serve/server.h"
 #include "serve/transport.h"
 
 namespace nc::serve {
@@ -357,6 +361,66 @@ TEST(RetryingClientTest, TransmitHookCorruptionIsRecoveredByRetry) {
   EXPECT_EQ(retry->seq, seq);
   peer.reply_ok(seq, {1});
   ASSERT_EQ(client.poll(milliseconds(1000)).size(), 1u);
+  client.close();
+}
+
+// The server echoes the seq of a frame whose header CRC passed but whose
+// payload did not, so the client resends that request at once. The clock
+// never advances: the retransmit timer cannot be what recovers it.
+TEST(RetryingClientTest, EchoedBadCrcIsResentWithoutWaitingForTheTimer) {
+  core::VirtualClock clock;
+  ServerConfig config;
+  config.worker_threads = 1;
+  Server server(config);
+  RetryPolicy policy;
+  policy.clock = &clock;
+  RetryingClient client(
+      [&server] {
+        auto [client_end, server_end] = make_pipe();
+        server.serve(std::move(server_end));
+        return std::move(client_end);
+      },
+      policy);
+  int transmit_no = 0;
+  client.set_transmit_hook([&transmit_no](std::vector<std::uint8_t> bytes) {
+    if (++transmit_no == 1) bytes[kFrameHeaderSize + 3] ^= 0x40;
+    return bytes;
+  });
+
+  const bits::TestSet ts =
+      bits::TestSet::from_strings({"01XX10X0", "XX01XX11"});
+  const std::uint64_t seq = client.submit(
+      FrameType::kEncodeRequest, to_payload(EncodeRequest{CodecSpec{}, ts}));
+  std::optional<RetryingClient::Outcome> outcome;
+  for (int i = 0; i < 100 && !outcome; ++i)
+    for (auto& [s, o] : client.poll(milliseconds(20)))
+      if (s == seq) outcome = std::move(o);
+
+  ASSERT_TRUE(outcome.has_value()) << "the mangled request never resolved";
+  ASSERT_EQ(outcome->status, RetryingClient::Outcome::Status::kReply);
+  EXPECT_EQ(outcome->reply.payload,
+            trits_payload(CodecSpec{}.make_coder().encode(ts.flatten())));
+  EXPECT_EQ(outcome->transmits, 2u);
+  EXPECT_EQ(client.stats().frame_errors, 1u);
+  EXPECT_EQ(client.stats().retransmits, 1u);
+  EXPECT_EQ(client.stats().timeouts, 0u);
+  client.close();
+  server.stop();
+}
+
+TEST(RetryingClientTest, EchoedOversizedResolvesAsTypedError) {
+  FakePeer peer;
+  RetryingClient client(peer.factory());
+  const std::uint64_t seq = client.submit(FrameType::kEncodeRequest, {1, 2});
+  ASSERT_TRUE(peer.read().has_value());
+  peer.reply_error(seq, ErrorCode::kOversized);
+  const auto resolved = client.poll(milliseconds(1000));
+  ASSERT_EQ(resolved.size(), 1u);
+  EXPECT_EQ(resolved[0].second.status,
+            RetryingClient::Outcome::Status::kTypedError);
+  EXPECT_EQ(resolved[0].second.error, ErrorCode::kOversized);
+  EXPECT_EQ(client.stats().frame_errors, 1u);
+  EXPECT_EQ(client.stats().retransmits, 0u);
   client.close();
 }
 

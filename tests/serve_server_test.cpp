@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "bits/test_set.h"
+#include "gen/cube_gen.h"
 #include "serve/frame.h"
 #include "serve/loadgen.h"
 #include "serve/server.h"
@@ -226,6 +227,31 @@ TEST(ServeServerTest, InflightCapYieldsTypedReply) {
   server.stop();
 }
 
+TEST(ServeServerTest, QueuedRequestGetsShuttingDownWhenStopBegins) {
+  ServerConfig config;
+  config.worker_threads = 1;
+  // The window keeps the admitted request queued until stop() has begun.
+  config.batch_window = milliseconds(300);
+  Server server(config);
+  TestClient client(server);
+
+  client.send(encode_request(1, small_test_set()));
+  const auto give_up = std::chrono::steady_clock::now() + milliseconds(2000);
+  while (server.metrics_snapshot().requests_accepted < 1 &&
+         std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(milliseconds(1));
+  ASSERT_EQ(server.metrics_snapshot().requests_accepted, 1u);
+  std::thread stopper([&server] { server.stop(); });
+
+  const Frame reply = client.next();
+  stopper.join();
+  ASSERT_EQ(reply.type, FrameType::kError);
+  EXPECT_EQ(reply.seq, 1u);
+  EXPECT_EQ(parse_error_payload(reply.payload).code,
+            ErrorCode::kShuttingDown);
+  EXPECT_EQ(server.metrics_snapshot().misses, 0u) << "it must not compute";
+}
+
 TEST(ServeServerTest, CorruptFrameGetsTypedErrorAndConnectionSurvives) {
   ServerConfig config;
   config.worker_threads = 2;
@@ -234,13 +260,14 @@ TEST(ServeServerTest, CorruptFrameGetsTypedErrorAndConnectionSurvives) {
   const bits::TestSet ts = small_test_set();
 
   // A frame with a flipped payload byte: the server must reply with one
-  // typed protocol error (seq 0) and keep the connection usable.
+  // typed protocol error and keep the connection usable. The header CRC
+  // passed, so the error names the request's seq.
   std::vector<std::uint8_t> bad = encode_frame(encode_request(1, ts));
   bad[kFrameHeaderSize + 3] ^= 0x40;
   client.send_raw(bad);
   const Frame err = client.next();
   ASSERT_EQ(err.type, FrameType::kError);
-  EXPECT_EQ(err.seq, 0u);
+  EXPECT_EQ(err.seq, 1u);
   const ParsedError e = parse_error_payload(err.payload);
   EXPECT_EQ(e.code, ErrorCode::kBadCrc);
 
@@ -935,14 +962,51 @@ TEST(ServeServerTest, TuneBadPayloadsAreTypedErrors) {
   server.stop();
 }
 
+// Head-of-line probe: a tune search and a cheap encode share the paper's
+// default spec. A tune is always a batch of its own, so with two workers
+// the encode runs beside the search instead of waiting behind it.
+TEST(ServeServerTest, CheapEncodeIsNotHeldBehindATuneSearch) {
+  ServerConfig config;
+  config.worker_threads = 2;
+  Server server(config);
+  TestClient tuner(server);
+  TestClient encoder(server);
+
+  TuneRequest tr;
+  tr.generations = 20;
+  tr.population = 24;
+  tr.tests = gen::calibrated_cubes(gen::iscas89_profile("s38417"));
+  tuner.send(tune_frame(1, tr));
+  std::chrono::steady_clock::time_point tune_replied;
+  Frame tune_reply;
+  std::thread tune_reader([&] {
+    tune_reply = tuner.next(milliseconds(60000));
+    tune_replied = std::chrono::steady_clock::now();
+  });
+  std::this_thread::sleep_for(std::chrono::microseconds(200));
+
+  const auto sent = std::chrono::steady_clock::now();
+  const Frame reply = encoder.round_trip(encode_request(2, small_test_set()));
+  const auto encode_replied = std::chrono::steady_clock::now();
+  tune_reader.join();
+
+  ASSERT_EQ(reply.type, FrameType::kEncodeReply);
+  ASSERT_EQ(tune_reply.type, FrameType::kTuneReply);
+  EXPECT_LT(encode_replied - sent, milliseconds(20));
+  EXPECT_LT(encode_replied, tune_replied)
+      << "the encode waited for the tune search";
+  server.stop();
+}
+
 TEST(ServeServerTest, TuneAndEncodeRequestsCoexistInMixedTraffic) {
   ServerConfig config;
   config.worker_threads = 2;
   Server server(config);
   TestClient client(server);
 
-  // Interleave: the scheduler may batch these together (tune requests ride
-  // the default spec); dispatch must still route each to its own handler.
+  // Interleave: tune requests ride the default spec, the same as these
+  // encodes; the scheduler keeps each tune in a batch of its own and
+  // dispatch must still route each to its own handler.
   const Frame enc1 = client.round_trip(encode_request(1, small_test_set()));
   const Frame tun1 = client.round_trip(tune_frame(2, small_tune_request()));
   const Frame enc2 = client.round_trip(encode_request(3, small_test_set()));

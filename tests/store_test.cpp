@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <random>
@@ -220,22 +221,42 @@ TEST_F(StoreTest, ConcurrentReadersDuringCompaction) {
     store.put(key_of(n), payload_of(n, 120));
   }
 
+  constexpr int kReaders = 4;
+  // Reads that must land while compaction runs: the loop below keeps
+  // compacting until they have, so overlap is proven, not hoped for.
+  constexpr std::uint64_t kReadFloor = 200;
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> reads{0};
+  std::atomic<int> started{0};  // readers past their first verified get
   std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&store, &stop, &reads, t] {
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&store, &stop, &reads, &started, t] {
       std::mt19937_64 rng(t);
+      bool first = true;
       while (!stop.load(std::memory_order_relaxed)) {
         const std::uint64_t n = rng() % kKeys;
         const GetResult got = store.get(key_of(n));
         ASSERT_EQ(got.status, GetStatus::kHit);
         ASSERT_EQ(got.payload, payload_of(n, 120));
         reads.fetch_add(1, std::memory_order_relaxed);
+        if (first) started.fetch_add(1);
+        first = false;
       }
     });
   }
-  for (int round = 0; round < 10; ++round) {
+  // Under CPU load every compaction round can finish before a reader is
+  // scheduled at all. Bounded waits: a reader that failed its assertion
+  // has exited, and the test must end with that failure, not hang.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (started.load() < kReaders &&
+         std::chrono::steady_clock::now() < give_up)
+    std::this_thread::yield();
+  const std::uint64_t reads_before = reads.load();
+  for (int round = 0;
+       round < 10 || (reads.load() - reads_before < kReadFloor &&
+                      std::chrono::steady_clock::now() < give_up);
+       ++round) {
     store.compact(0.0);
     // Re-create garbage so the next round has something to move -- only in
     // the churn range, never touching a key a reader might be fetching.
@@ -244,9 +265,12 @@ TEST_F(StoreTest, ConcurrentReadersDuringCompaction) {
       store.put(key_of(n), payload_of(n, 120));
     }
   }
+  const std::uint64_t overlapping = reads.load() - reads_before;
   stop.store(true);
   for (auto& th : readers) th.join();
   EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(started.load(), kReaders);
+  EXPECT_GE(overlapping, kReadFloor);
   // Nothing was lost in the churn.
   for (std::uint64_t n = 0; n < kKeys; ++n)
     EXPECT_EQ(store.get(key_of(n)).status, GetStatus::kHit) << "key " << n;
