@@ -1,13 +1,14 @@
 // Software throughput of the coders (google-benchmark), plus the perf
-// regression gate for the word-parallel bitplane codec. Not a paper table;
-// documents that the encoder is linear-time and fast enough for the
+// regression gate for the word-parallel production 9C coder. Not a paper
+// table; documents that the encoder is linear-time and fast enough for the
 // multi-Mbit industrial sweeps of Table VIII. Unless the caller passes its
 // own --benchmark_out, results are also written to BENCH_throughput.json.
 //
 // After the benchmarks run, main() measures the single-thread encode
-// throughput of both codec implementations directly and EXITS NONZERO if
-//   * the bitplane path is less than 5x the scalar path at the gate K, or
-//   * the two implementations disagree on any gate stream (byte compare).
+// throughput of the production coder and of the per-trit reference
+// (tests/reference) directly and EXITS NONZERO if
+//   * production is less than 5x the reference at the gate K, or
+//   * the two disagree on any gate stream (byte compare).
 // CI runs this binary, so a change that quietly de-vectorizes the hot path
 // -- or breaks its bit-exactness -- fails the build, not just a dashboard.
 #include <benchmark/benchmark.h>
@@ -19,14 +20,16 @@
 
 #include "baselines/fdr.h"
 #include "baselines/golomb.h"
-#include "bits/bitplane.h"
 #include "codec/nine_coded.h"
 #include "gen/cube_gen.h"
+#include "reference/nine_coded_reference.h"
 
 namespace {
 
-using nc::codec::CodecImpl;
+using nc::bits::TritVector;
+using nc::codec::Codec;
 using nc::codec::NineCoded;
+using nc::codec::ReferenceCodec;
 
 const nc::bits::TritVector& sample_td() {
   static const nc::bits::TritVector td = [] {
@@ -40,26 +43,29 @@ const nc::bits::TritVector& sample_td() {
   return td;
 }
 
-void encode_bench(benchmark::State& state, CodecImpl impl) {
-  const NineCoded coder(static_cast<std::size_t>(state.range(0)), impl);
+NineCoded bench_coder(const benchmark::State& state) {
+  return NineCoded(static_cast<std::size_t>(state.range(0)));
+}
+
+void encode_bench(benchmark::State& state, const Codec& coder) {
   const auto& td = sample_td();
   for (auto _ : state) benchmark::DoNotOptimize(coder.encode(td));
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(td.size()) / 8);
 }
 
-void BM_NineCodedEncodeScalar(benchmark::State& state) {
-  encode_bench(state, CodecImpl::kScalar);
+void BM_NineCodedEncodeReference(benchmark::State& state) {
+  encode_bench(state, ReferenceCodec(bench_coder(state)));
 }
-BENCHMARK(BM_NineCodedEncodeScalar)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
+BENCHMARK(BM_NineCodedEncodeReference)
+    ->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
-void BM_NineCodedEncodeBitplane(benchmark::State& state) {
-  encode_bench(state, CodecImpl::kBitplane);
+void BM_NineCodedEncode(benchmark::State& state) {
+  encode_bench(state, bench_coder(state));
 }
-BENCHMARK(BM_NineCodedEncodeBitplane)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
+BENCHMARK(BM_NineCodedEncode)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
-void decode_bench(benchmark::State& state, CodecImpl impl) {
-  const NineCoded coder(static_cast<std::size_t>(state.range(0)), impl);
+void decode_bench(benchmark::State& state, const Codec& coder) {
   const auto& td = sample_td();
   const auto te = coder.encode(td);
   for (auto _ : state)
@@ -68,15 +74,15 @@ void decode_bench(benchmark::State& state, CodecImpl impl) {
                           static_cast<int64_t>(td.size()) / 8);
 }
 
-void BM_NineCodedDecodeScalar(benchmark::State& state) {
-  decode_bench(state, CodecImpl::kScalar);
+void BM_NineCodedDecodeReference(benchmark::State& state) {
+  decode_bench(state, ReferenceCodec(bench_coder(state)));
 }
-BENCHMARK(BM_NineCodedDecodeScalar)->Arg(8)->Arg(32);
+BENCHMARK(BM_NineCodedDecodeReference)->Arg(8)->Arg(32);
 
-void BM_NineCodedDecodeBitplane(benchmark::State& state) {
-  decode_bench(state, CodecImpl::kBitplane);
+void BM_NineCodedDecode(benchmark::State& state) {
+  decode_bench(state, bench_coder(state));
 }
-BENCHMARK(BM_NineCodedDecodeBitplane)->Arg(8)->Arg(32);
+BENCHMARK(BM_NineCodedDecode)->Arg(8)->Arg(32);
 
 void BM_NineCodedAnalyze(benchmark::State& state) {
   const NineCoded coder(8);
@@ -84,70 +90,6 @@ void BM_NineCodedAnalyze(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(coder.analyze(td));
 }
 BENCHMARK(BM_NineCodedAnalyze);
-
-// --------------------------------------------- scan_half before/after/word
-// The scalar scan_half used to re-derive the packed word and shift for
-// every trit through get(); it now hoists one word load per 32 trits.
-// This local copy of the old body is the "before" so the micro-fix stays
-// measured in the JSON next to the "after" and the word-parallel scan.
-
-// noinline: the library scan_half is an out-of-line call, so the "before"
-// body must be one too -- otherwise this copy fuses into the benchmark
-// loop and the comparison measures inlining, not the word hoist.
-[[gnu::noinline]] nc::codec::HalfScan scan_half_per_trit_get(
-    const nc::bits::TritVector& v, std::size_t begin,
-    std::size_t len) noexcept {
-  nc::codec::HalfScan scan;
-  for (std::size_t i = 0; i < len; ++i) {
-    switch (v.get(begin + i)) {
-      case nc::bits::Trit::Zero: scan.kind.one_compatible = false; break;
-      case nc::bits::Trit::One: scan.kind.zero_compatible = false; break;
-      case nc::bits::Trit::X: ++scan.x_count; break;
-    }
-  }
-  return scan;
-}
-
-constexpr std::size_t kScanHalf = 16;  // K=32 halves
-
-void BM_ScanHalfPerTritGet(benchmark::State& state) {
-  const auto& td = sample_td();
-  for (auto _ : state) {
-    std::size_t acc = 0;
-    for (std::size_t b = 0; b + kScanHalf <= td.size(); b += kScanHalf)
-      acc += scan_half_per_trit_get(td, b, kScanHalf).x_count;
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(td.size()) / 8);
-}
-BENCHMARK(BM_ScanHalfPerTritGet);
-
-void BM_ScanHalfHoisted(benchmark::State& state) {
-  const auto& td = sample_td();
-  for (auto _ : state) {
-    std::size_t acc = 0;
-    for (std::size_t b = 0; b + kScanHalf <= td.size(); b += kScanHalf)
-      acc += nc::codec::scan_half(td, b, kScanHalf).x_count;
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(td.size()) / 8);
-}
-BENCHMARK(BM_ScanHalfHoisted);
-
-void BM_ScanHalfBitplane(benchmark::State& state) {
-  const nc::bits::Bitplanes planes(sample_td());
-  for (auto _ : state) {
-    std::size_t acc = 0;
-    for (std::size_t b = 0; b + kScanHalf <= planes.size(); b += kScanHalf)
-      acc += nc::codec::scan_half(planes, b, kScanHalf).x_count;
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(planes.size()) / 8);
-}
-BENCHMARK(BM_ScanHalfBitplane);
 
 void BM_FdrEncode(benchmark::State& state) {
   const nc::baselines::Fdr coder;
@@ -166,8 +108,7 @@ BENCHMARK(BM_GolombEncode);
 // ------------------------------------------------------- perf + bit gate
 
 /// Wall-clock MB/s of single-thread encode, measured over ~0.4 s.
-double encode_mb_per_s(const NineCoded& coder,
-                       const nc::bits::TritVector& td) {
+double encode_mb_per_s(const Codec& coder, const TritVector& td) {
   using clock = std::chrono::steady_clock;
   // Warm up caches and the allocator once before timing.
   benchmark::DoNotOptimize(coder.encode(td));
@@ -187,7 +128,7 @@ double encode_mb_per_s(const NineCoded& coder,
 /// The ship gate. Byte-identity is checked at every K the encoder benches;
 /// the throughput ratio is gated at kGateK, the block size that amortizes
 /// the per-block codeword bookkeeping enough to expose the word-parallel
-/// payload path (at tiny K both impls are dominated by per-block control:
+/// payload path (at tiny K both coders are dominated by per-block control:
 /// K=32 measures ~5x on an idle machine, K=64 holds 7-9x even under load,
 /// so the 5x bar at K=64 has real headroom against CI noise).
 int run_codec_gate() {
@@ -196,26 +137,26 @@ int run_codec_gate() {
   const auto& td = sample_td();
 
   for (std::size_t k : {4u, 8u, 16u, 32u, 62u, 64u, 66u}) {
-    const NineCoded scalar(k, CodecImpl::kScalar);
-    const NineCoded bitplane(k, CodecImpl::kBitplane);
-    if (!(scalar.encode(td) == bitplane.encode(td))) {
+    const NineCoded coder(k);
+    if (!(ReferenceCodec(coder).encode(td) == coder.encode(td))) {
       std::fprintf(stderr,
-                   "GATE FAIL: scalar and bitplane TE differ at K=%zu\n", k);
+                   "GATE FAIL: reference and production TE differ at K=%zu\n",
+                   k);
       return 1;
     }
   }
 
-  const NineCoded scalar(kGateK, CodecImpl::kScalar);
-  const NineCoded bitplane(kGateK, CodecImpl::kBitplane);
-  const double scalar_mbs = encode_mb_per_s(scalar, td);
-  const double bitplane_mbs = encode_mb_per_s(bitplane, td);
-  const double speedup = bitplane_mbs / scalar_mbs;
+  const NineCoded coder(kGateK);
+  const double reference_mbs = encode_mb_per_s(ReferenceCodec(coder), td);
+  const double production_mbs = encode_mb_per_s(coder, td);
+  const double speedup = production_mbs / reference_mbs;
   std::printf(
-      "codec gate (K=%zu): scalar %.1f MB/s, bitplane %.1f MB/s, "
+      "codec gate (K=%zu): reference %.1f MB/s, production %.1f MB/s, "
       "speedup %.2fx (required >= %.1fx), streams byte-identical\n",
-      kGateK, scalar_mbs, bitplane_mbs, speedup, kRequiredSpeedup);
+      kGateK, reference_mbs, production_mbs, speedup, kRequiredSpeedup);
   if (speedup < kRequiredSpeedup) {
-    std::fprintf(stderr, "GATE FAIL: bitplane/scalar speedup %.2fx < %.1fx\n",
+    std::fprintf(stderr,
+                 "GATE FAIL: production/reference speedup %.2fx < %.1fx\n",
                  speedup, kRequiredSpeedup);
     return 1;
   }

@@ -2,11 +2,22 @@
 
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
 namespace nc::bits {
+
+std::size_t TestSet::checked_bit_count(std::size_t pattern_count,
+                                       std::size_t pattern_length) {
+  if (pattern_length != 0 &&
+      pattern_count > std::numeric_limits<std::size_t>::max() / pattern_length)
+    throw std::invalid_argument(
+        "test set geometry " + std::to_string(pattern_count) + " x " +
+        std::to_string(pattern_length) + " overflows size_t");
+  return pattern_count * pattern_length;
+}
 
 TestSet TestSet::from_strings(const std::vector<std::string>& patterns) {
   TestSet ts;

@@ -48,9 +48,12 @@ class ParseError : public std::runtime_error {
 class TestSet {
  public:
   TestSet() = default;
+  /// All-X test set. Throws std::invalid_argument when pattern_count x
+  /// pattern_length overflows size_t, so no loader can build a test set
+  /// that claims a geometry its data does not have.
   TestSet(std::size_t pattern_count, std::size_t pattern_length)
       : width_(pattern_length),
-        data_(pattern_count * pattern_length, Trit::X),
+        data_(checked_bit_count(pattern_count, pattern_length), Trit::X),
         rows_(pattern_count) {}
 
   /// Builds a test set from one string per pattern ("01X...", equal widths).
@@ -106,6 +109,9 @@ class TestSet {
   }
 
  private:
+  static std::size_t checked_bit_count(std::size_t pattern_count,
+                                       std::size_t pattern_length);
+
   std::size_t width_ = 0;
   TritVector data_;
   std::size_t rows_ = 0;

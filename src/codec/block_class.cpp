@@ -26,31 +26,4 @@ HalfKind classify_half(const bits::TritVector& v, std::size_t begin,
   return kind;
 }
 
-HalfScan scan_half(const bits::TritVector& v, std::size_t begin,
-                   std::size_t len) noexcept {
-  // Same word hoist as classify_half; cannot early-exit (exact X count).
-  HalfScan scan;
-  std::size_t i = begin;
-  const std::size_t end = begin + len;
-  while (i < end) {
-    std::uint64_t w = v.packed_word(i >> 5) >> ((i & 31u) * 2);
-    const std::size_t stop = std::min(end, (i & ~std::size_t{31}) + 32);
-    for (; i < stop; ++i, w >>= 2) {
-      switch (static_cast<bits::Trit>(w & 0x3u)) {
-        case bits::Trit::Zero: scan.kind.one_compatible = false; break;
-        case bits::Trit::One: scan.kind.zero_compatible = false; break;
-        case bits::Trit::X: ++scan.x_count; break;
-      }
-    }
-  }
-  return scan;
-}
-
-BlockClass classify_block(const bits::TritVector& v, std::size_t begin,
-                          std::size_t k) noexcept {
-  const std::size_t half = k / 2;
-  return classify_halves(classify_half(v, begin, half),
-                         classify_half(v, begin + half, half));
-}
-
 }  // namespace nc::codec

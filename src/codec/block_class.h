@@ -57,24 +57,20 @@ struct HalfKind {
 HalfKind classify_half(const bits::TritVector& v, std::size_t begin,
                        std::size_t len) noexcept;
 
-/// One full scan of a half: its kind plus its X population. The encoder hot
-/// path scans each half exactly once and reuses the result for the class
+/// One full scan of a half: its kind plus its X population. The encoder
+/// scans each half exactly once and reuses the result for the class
 /// decision, the N_i statistics and the filled-X accounting. Unlike
 /// classify_half this cannot early-exit on the first 0/1 conflict -- the X
-/// count must be exact -- but it replaces the encoder's second walk over
-/// the block, which is a net win.
+/// count must be exact.
 struct HalfScan {
   HalfKind kind;
   std::size_t x_count = 0;
 };
-HalfScan scan_half(const bits::TritVector& v, std::size_t begin,
-                   std::size_t len) noexcept;
 
 /// Word-parallel scan of a half over packed bitplanes: classifies the
 /// whole range with AND/OR/popcount per 64-trit word instead of a
-/// per-trit walk. Must agree with the scalar scan_half on every input
-/// (checked by the differential fuzz suite). Inline so the plane scan
-/// fuses into the encoder's block loop.
+/// per-trit walk. Inline so the plane scan fuses into the encoder's block
+/// loop.
 inline HalfScan scan_half(const bits::Bitplanes& planes, std::size_t begin,
                           std::size_t len) noexcept {
   const bits::PlaneScan s = planes.scan(begin, len);
@@ -103,11 +99,6 @@ inline BlockClass classify_halves(const HalfKind& left,
   if (left.mismatch() && right.one_compatible) return BlockClass::kC8;
   return BlockClass::kC9;
 }
-
-/// Classifies the K-trit block of `v` at [begin, begin+k); equivalent to
-/// classify_halves over the two half scans. `k` must be even and >= 2.
-BlockClass classify_block(const bits::TritVector& v, std::size_t begin,
-                          std::size_t k) noexcept;
 
 /// Payload length in trits that case `c` appends after its codeword, for a
 /// K-trit block whose left half is `split` trits (right half is K - split).

@@ -12,40 +12,11 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <string>
-#include <string_view>
 
 #include "bits/trit_vector.h"
 
 namespace nc::codec {
-
-/// Which 9C hot-path implementation to run. Both produce byte-identical
-/// streams and raise identical typed errors (enforced by the differential
-/// fuzz suite); the selector exists so the scalar reference stays alive
-/// and testable forever next to the word-parallel production path.
-enum class CodecImpl : unsigned char {
-  kAuto = 0,      // library picks (currently: bitplane)
-  kScalar = 1,    // per-trit reference implementation
-  kBitplane = 2,  // word-parallel packed-bitplane implementation
-};
-
-constexpr const char* to_string(CodecImpl impl) noexcept {
-  switch (impl) {
-    case CodecImpl::kScalar: return "scalar";
-    case CodecImpl::kBitplane: return "bitplane";
-    default: return "auto";
-  }
-}
-
-/// Parses "auto" / "scalar" / "bitplane"; nullopt on anything else.
-inline std::optional<CodecImpl> codec_impl_from_string(
-    std::string_view text) noexcept {
-  if (text == "auto") return CodecImpl::kAuto;
-  if (text == "scalar") return CodecImpl::kScalar;
-  if (text == "bitplane") return CodecImpl::kBitplane;
-  return std::nullopt;
-}
 
 class Codec {
  public:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <stdexcept>
-#include <utility>
 
 #include "bits/bitplane.h"
 #include "bits/bitstream.h"
@@ -22,8 +21,8 @@ std::size_t NineCodedStats::blocks() const noexcept {
 }
 
 NineCoded::NineCoded(std::size_t block_size, CodewordTable table,
-                     CodecImpl impl, std::size_t split)
-    : k_(block_size), table_(table), impl_(impl) {
+                     std::size_t split)
+    : k_(block_size), table_(table) {
   if (split == 0) {
     if (k_ < 2 || k_ % 2 != 0)
       throw std::invalid_argument("9C block size K must be even and >= 2");
@@ -50,93 +49,14 @@ TritVector NineCoded::encode(const TritVector& td) const {
   return stream;
 }
 
+// Word-parallel coder: TD is de-interleaved once into a value plane and an
+// X plane, each half is classified with AND/OR/popcount on 64-bit words, and
+// codewords/payloads are emitted as shifted word writes. The per-trit
+// specification in tests/reference must produce byte-identical TE and
+// identical statistics (codec_diff_fuzz_test).
+
 NineCodedStats NineCoded::analyze(const TritVector& td,
                                   TritVector* out_stream) const {
-  return resolved_impl() == CodecImpl::kScalar
-             ? analyze_scalar(td, out_stream)
-             : analyze_bitplane(td, out_stream);
-}
-
-// ------------------------------------------------------------ scalar path
-// The per-trit reference implementation. Kept verbatim behind the
-// CodecImpl selector so the word-parallel path below can be differentially
-// tested against it forever.
-
-NineCodedStats NineCoded::analyze_scalar(const TritVector& td,
-                                         TritVector* out_stream) const {
-  NineCodedStats stats;
-  stats.block_size = k_;
-  stats.split = left_;
-  stats.original_bits = td.size();
-
-  // Pad the tail to a whole block with X, which compresses maximally and is
-  // discarded by the decoder (it knows the original length).
-  TritVector padded = td;
-  if (padded.size() % k_ != 0)
-    padded.append_run(k_ - padded.size() % k_, Trit::X);
-  stats.padded_bits = padded.size();
-
-  TritVector stream;
-
-  auto emit_codeword = [&](BlockClass c) {
-    const Codeword& w = table_.at(c);
-    for (unsigned i = w.length; i-- > 0;)
-      stream.push_back(bits::trit_from_bit((w.bits >> i) & 1u));
-  };
-  auto emit_payload = [&](std::size_t begin, std::size_t len) {
-    for (std::size_t i = 0; i < len; ++i) stream.push_back(padded.get(begin + i));
-  };
-
-  // Hot path: each half is scanned exactly once; the scan's kind drives the
-  // class decision and its X count drives the filled/leftover accounting
-  // (payload X symbols are leftover, uniform-half X symbols are filled), so
-  // no symbol of TD is re-read after classification.
-  for (std::size_t b = 0; b < padded.size(); b += k_) {
-    const HalfScan left = scan_half(padded, b, left_);
-    const HalfScan right = scan_half(padded, b + left_, right_);
-    const BlockClass cls = classify_halves(left.kind, right.kind);
-    ++stats.counts[static_cast<std::size_t>(cls)];
-    emit_codeword(cls);
-    switch (cls) {
-      case BlockClass::kC1:
-      case BlockClass::kC2:
-      case BlockClass::kC3:
-      case BlockClass::kC4:
-        // No payload: every X in the block was forced to the uniform value.
-        stats.filled_x += left.x_count + right.x_count;
-        break;
-      case BlockClass::kC5:
-      case BlockClass::kC7:
-        stats.filled_x += left.x_count;
-        stats.leftover_x += right.x_count;
-        emit_payload(b + left_, right_);
-        break;
-      case BlockClass::kC6:
-      case BlockClass::kC8:
-        stats.filled_x += right.x_count;
-        stats.leftover_x += left.x_count;
-        emit_payload(b, left_);
-        break;
-      case BlockClass::kC9:
-        stats.leftover_x += left.x_count + right.x_count;
-        emit_payload(b, k_);
-        break;
-    }
-  }
-
-  stats.encoded_bits = stream.size();
-  if (out_stream != nullptr) *out_stream = std::move(stream);
-  return stats;
-}
-
-// ---------------------------------------------------------- bitplane path
-// Word-parallel implementation: TD is de-interleaved once into a value
-// plane and an X plane, each half is classified with AND/OR/popcount on
-// 64-bit words, and codewords/payloads are emitted as shifted word writes.
-// Produces byte-identical TE and identical statistics to the scalar path.
-
-NineCodedStats NineCoded::analyze_bitplane(const TritVector& td,
-                                           TritVector* out_stream) const {
   NineCodedStats stats;
   stats.block_size = k_;
   stats.split = left_;
@@ -211,80 +131,10 @@ TritVector NineCoded::decode(const TritVector& te,
 DecodeOutcome NineCoded::decode_checked(const TritVector& te,
                                         std::size_t original_bits,
                                         core::Watchdog* watchdog) const {
-  return resolved_impl() == CodecImpl::kScalar
-             ? decode_scalar(te, original_bits, watchdog)
-             : decode_bitplane(te, original_bits, watchdog);
-}
-
-DecodeOutcome NineCoded::decode_scalar(const TritVector& te,
-                                       std::size_t original_bits,
-                                       core::Watchdog* watchdog) const {
-  const std::size_t expected_blocks = (original_bits + k_ - 1) / k_;
-  DecodeOutcome outcome;
-  TritVector& out = outcome.data;
-  bits::TritReader reader(te);
-  for (std::size_t block = 0; block < expected_blocks; ++block) {
-    // Each block costs at most one codeword (<= 5 symbols) plus K output
-    // symbols; charging K+5 per block keeps the meter conservative without
-    // per-symbol overhead in this (software-side) decoder.
-    if (watchdog != nullptr &&
-        watchdog->tick(k_ + 5) != core::WatchdogTrip::kNone)
-      throw DecodeError(DecodeFault::kWatchdogExpired, reader.position(),
-                        block);
-    try {
-      const BlockClass cls = table_.match(reader);
-      switch (cls) {
-        case BlockClass::kC1:
-        case BlockClass::kC2:
-        case BlockClass::kC3:
-        case BlockClass::kC4: {
-          const auto fill = uniform_fill(cls);
-          out.append_run(left_, bits::trit_from_bit(fill[0]));
-          out.append_run(right_, bits::trit_from_bit(fill[1]));
-          break;
-        }
-        case BlockClass::kC5:
-        case BlockClass::kC6:
-        case BlockClass::kC7:
-        case BlockClass::kC8: {
-          const MixedShape shape = mixed_shape(cls);
-          if (shape.mismatch_is_left) {
-            out.append(reader.next_trits(left_));
-            out.append_run(right_, bits::trit_from_bit(shape.uniform_value));
-          } else {
-            const TritVector payload = reader.next_trits(right_);
-            out.append_run(left_, bits::trit_from_bit(shape.uniform_value));
-            out.append(payload);
-          }
-          break;
-        }
-        case BlockClass::kC9:
-          out.append(reader.next_trits(k_));
-          break;
-      }
-    } catch (const bits::StreamOverrun& e) {
-      throw DecodeError(DecodeFault::kTruncated, e.offset(), block);
-    } catch (const bits::InvalidSymbol& e) {
-      throw DecodeError(DecodeFault::kXInCodeword, e.offset(), block);
-    } catch (const DecodeError& e) {
-      throw e.with_block(block);
-    }
-  }
-  // Length accounting: a corruption that shortens the parse (e.g. a long
-  // codeword aliased onto a short one) leaves TE symbols unconsumed.
-  if (!reader.done())
-    throw DecodeError(DecodeFault::kTrailingData, reader.position(),
-                      expected_blocks);
-  outcome.blocks = expected_blocks;
-  outcome.consumed = reader.position();
-  out.resize(original_bits);  // drop decoder output for the padded tail
-  return outcome;
-}
-
-DecodeOutcome NineCoded::decode_bitplane(const TritVector& te,
-                                         std::size_t original_bits,
-                                         core::Watchdog* watchdog) const {
-  const std::size_t expected_blocks = (original_bits + k_ - 1) / k_;
+  // Rounded up without `original_bits + k_ - 1`, which wraps for a crafted
+  // length near SIZE_MAX; such a length runs out of TE as kTruncated.
+  const std::size_t expected_blocks =
+      original_bits / k_ + (original_bits % k_ != 0);
   DecodeOutcome outcome;
   const Bitplanes in(te);
   BitplaneReader reader(in);
@@ -295,8 +145,8 @@ DecodeOutcome NineCoded::decode_bitplane(const TritVector& te,
   // least one TE symbol, so te.size()+1 blocks bounds any real decode.
   out.reserve(std::min(expected_blocks, te.size() + 1) * k_);
   // Same loop skeleton, watchdog schedule and exception mapping as the
-  // scalar decoder -- only the fill/copy data paths differ (word-parallel
-  // append_run/copy_to instead of per-trit appends).
+  // per-trit reference decoder -- only the fill/copy data paths differ
+  // (word-parallel append_run/copy_to instead of per-trit appends).
   for (std::size_t block = 0; block < expected_blocks; ++block) {
     if (watchdog != nullptr &&
         watchdog->tick(k_ + 5) != core::WatchdogTrip::kNone)
@@ -325,7 +175,7 @@ DecodeOutcome NineCoded::decode_bitplane(const TritVector& te,
           } else {
             // Check the payload is available *before* emitting the uniform
             // half so a truncated stream reports the same offset as the
-            // scalar decoder, which reads the payload first.
+            // reference decoder, which reads the payload first.
             if (reader.remaining() < right_)
               throw bits::StreamOverrun(reader.position(), right_,
                                         reader.remaining());
@@ -357,11 +207,10 @@ DecodeOutcome NineCoded::decode_bitplane(const TritVector& te,
 }
 
 NineCoded NineCoded::tuned_for(const bits::TritVector& td,
-                               std::size_t block_size, CodecImpl impl) {
-  const NineCoded probe(block_size, CodewordTable::standard(), impl);
-  const NineCodedStats stats = probe.analyze(td);
-  return NineCoded(block_size, CodewordTable::frequency_directed(stats.counts),
-                   impl);
+                               std::size_t block_size) {
+  const NineCodedStats stats = NineCoded(block_size).analyze(td);
+  return NineCoded(block_size,
+                   CodewordTable::frequency_directed(stats.counts));
 }
 
 }  // namespace nc::codec

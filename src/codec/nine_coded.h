@@ -58,32 +58,21 @@ struct NineCodedStats {
 class NineCoded final : public Codec {
  public:
   /// `block_size` is K. The default table is the paper's Table I
-  /// assignment; pass a frequency-directed table for Table VII. `impl`
-  /// selects the hot-path implementation (DESIGN.md section 13); kAuto
-  /// resolves to the word-parallel bitplane path. `split` is the left-half
-  /// length in trits: 0 (the default) means the paper's symmetric K/2 and
-  /// requires K even >= 2; an explicit split in [1, K-1] allows asymmetric
-  /// halves (and odd K), which the tuner searches over.
+  /// assignment; pass a frequency-directed table for Table VII. `split` is
+  /// the left-half length in trits: 0 (the default) means the paper's
+  /// symmetric K/2 and requires K even >= 2; an explicit split in [1, K-1]
+  /// allows asymmetric halves (and odd K), which the tuner searches over.
+  /// The coder is word-parallel (DESIGN.md section 13); the per-trit
+  /// specification it is fuzzed against lives in tests/reference.
   explicit NineCoded(std::size_t block_size,
                      CodewordTable table = CodewordTable::standard(),
-                     CodecImpl impl = CodecImpl::kAuto,
                      std::size_t split = 0);
-
-  /// Convenience: standard table with an explicit implementation.
-  NineCoded(std::size_t block_size, CodecImpl impl)
-      : NineCoded(block_size, CodewordTable::standard(), impl) {}
 
   std::string name() const override;
   std::size_t block_size() const noexcept { return k_; }
   /// Left-half length (always resolved: K/2 when constructed with split 0).
   std::size_t split() const noexcept { return left_; }
   const CodewordTable& table() const noexcept { return table_; }
-  CodecImpl impl() const noexcept { return impl_; }
-  /// The implementation that actually runs (kAuto resolved).
-  CodecImpl resolved_impl() const noexcept {
-    return impl_ == CodecImpl::kScalar ? CodecImpl::kScalar
-                                       : CodecImpl::kBitplane;
-  }
 
   bits::TritVector encode(const bits::TritVector& td) const override;
 
@@ -113,26 +102,13 @@ class NineCoded final : public Codec {
   /// gathers N_i with the standard table, second pass encodes with the
   /// re-assigned table). Returns the coder to use.
   static NineCoded tuned_for(const bits::TritVector& td,
-                             std::size_t block_size,
-                             CodecImpl impl = CodecImpl::kAuto);
+                             std::size_t block_size);
 
  private:
-  NineCodedStats analyze_scalar(const bits::TritVector& td,
-                                bits::TritVector* out_stream) const;
-  NineCodedStats analyze_bitplane(const bits::TritVector& td,
-                                  bits::TritVector* out_stream) const;
-  DecodeOutcome decode_scalar(const bits::TritVector& te,
-                              std::size_t original_bits,
-                              core::Watchdog* watchdog) const;
-  DecodeOutcome decode_bitplane(const bits::TritVector& te,
-                                std::size_t original_bits,
-                                core::Watchdog* watchdog) const;
-
   std::size_t k_;
   std::size_t left_;   // left-half trits
   std::size_t right_;  // right-half trits (k_ - left_)
   CodewordTable table_;
-  CodecImpl impl_ = CodecImpl::kAuto;
 };
 
 }  // namespace nc::codec

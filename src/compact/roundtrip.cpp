@@ -16,7 +16,7 @@ RoundtripResult run_roundtrip(const circuit::Netlist& netlist,
                                 ") != circuit pattern width (" +
                                 std::to_string(netlist.pattern_width()) + ")");
 
-  const codec::NineCoded coder(config.block_size, config.codec_impl);
+  const codec::NineCoded coder(config.block_size);
   const bits::TritVector te = coder.encode(td.flatten());
   const bits::TritVector decoded = coder.decode(te, td.bit_count());
   // The decoded stream is the decompressor's legal fill of TD; the scan

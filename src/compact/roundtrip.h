@@ -31,7 +31,6 @@ namespace nc::compact {
 struct RoundtripConfig {
   /// 9C block size K for the stimulus side.
   std::size_t block_size = 8;
-  codec::CodecImpl codec_impl = codec::CodecImpl::kAuto;
   /// Response-side X-code; `inputs` is filled in from the circuit.
   XCodeSpec xcode;
   AnalyzerConfig analyzer;

@@ -28,7 +28,7 @@ SessionResult run_perfect(const circuit::Netlist& netlist,
   SessionResult result;
 
   // The ATE compresses once and streams; the decoder fills the chain.
-  const codec::NineCoded coder(config.block_size, config.codec_impl);
+  const codec::NineCoded coder(config.block_size);
   const TritVector td = cubes.flatten();
   const TritVector te = coder.encode(td);
   const SingleScanDecoder decoder(config.block_size, config.p);
@@ -62,7 +62,7 @@ SessionResult run_perfect_parallel(const circuit::Netlist& netlist,
                                    const TestSet& cubes,
                                    const SessionConfig& config,
                                    const std::optional<sim::Fault>& fault) {
-  const codec::NineCoded coder(config.block_size, config.codec_impl);
+  const codec::NineCoded coder(config.block_size);
   const SingleScanDecoder decoder(config.block_size, config.p);
   const std::size_t jobs = config.jobs == 0
                                ? core::ThreadPool::hardware_threads()
@@ -133,7 +133,7 @@ SessionResult run_resilient(const circuit::Netlist& netlist,
                             const std::optional<sim::Fault>& fault) {
   SessionResult result;
   const ResilienceConfig& res = *config.resilience;
-  const codec::NineCoded coder(config.block_size, config.codec_impl);
+  const codec::NineCoded coder(config.block_size);
   const SingleScanDecoder decoder(config.block_size, config.p);
   ChannelModel channel(res.channel);
   ResponseComparator compare(netlist, cubes.pattern_length());

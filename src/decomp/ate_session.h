@@ -47,10 +47,6 @@ struct ResilienceConfig {
 struct SessionConfig {
   std::size_t block_size = 8;  // K of the on-chip decoder
   unsigned p = 8;              // f_scan / f_ate
-  /// Which 9C hot-path implementation the session's coders run. Never
-  /// changes any result (the impls are byte-identical); exposed so the
-  /// scalar reference stays drivable end to end.
-  codec::CodecImpl codec_impl = codec::CodecImpl::kAuto;
   /// Engages the faulty-channel model and the retry protocol.
   std::optional<ResilienceConfig> resilience;
 

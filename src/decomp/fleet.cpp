@@ -239,7 +239,7 @@ class FleetRunner {
         cubes_(cubes),
         config_(config),
         profiles_(profiles),
-        coder_(config.block_size, config.codec_impl),
+        coder_(config.block_size),
         decoder_(config.block_size, config.p) {
     if (profiles_.empty())
       throw std::invalid_argument("fleet needs at least one device");

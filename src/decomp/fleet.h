@@ -82,10 +82,6 @@ struct FleetConfig {
 
   std::size_t block_size = 8;  // K of the on-chip decoder
   unsigned p = 8;              // f_scan / f_ate
-  /// 9C hot-path implementation for every device coder. Byte-identical
-  /// across choices, so it is deliberately NOT part of the journal's
-  /// config hash: a checkpoint taken under one impl resumes under another.
-  codec::CodecImpl codec_impl = codec::CodecImpl::kAuto;
   RetryPolicy retry;           // per-pattern re-stream budget; abort_after
                                // aborts the *device*, never the fleet
   BreakerPolicy breaker;

@@ -382,9 +382,8 @@ FrameReader::Result FrameReader::read(std::chrono::milliseconds timeout) {
 
 // ------------------------------------------------------- message payloads
 
-codec::NineCoded CodecSpec::make_coder(codec::CodecImpl impl) const {
-  return codec::NineCoded(k, codec::CodewordTable::from_lengths(lengths),
-                          impl);
+codec::NineCoded CodecSpec::make_coder() const {
+  return codec::NineCoded(k, codec::CodewordTable::from_lengths(lengths));
 }
 
 std::vector<std::uint8_t> to_payload(const EncodeRequest& req) {

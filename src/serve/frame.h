@@ -227,12 +227,8 @@ struct CodecSpec {
   bool operator==(const CodecSpec&) const = default;
 
   /// Validates and instantiates the coder; throws std::invalid_argument on
-  /// an illegal K or a length set violating Kraft's inequality. `impl` is a
-  /// server-local execution choice (never on the wire): both impls produce
-  /// byte-identical artifacts, so cache and store entries stay valid across
-  /// it.
-  codec::NineCoded make_coder(
-      codec::CodecImpl impl = codec::CodecImpl::kAuto) const;
+  /// an illegal K or a length set violating Kraft's inequality.
+  codec::NineCoded make_coder() const;
 };
 
 struct EncodeRequest {

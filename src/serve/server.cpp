@@ -64,7 +64,7 @@ std::vector<std::uint8_t> decode_artifact(
 }
 
 std::vector<std::uint8_t> tune_artifact(
-    const std::vector<std::uint8_t>& payload, codec::CodecImpl impl) {
+    const std::vector<std::uint8_t>& payload) {
   const TuneRequest tr = parse_tune_request(payload);
   tune::TuneConfig cfg;
   cfg.seed = tr.seed;
@@ -72,7 +72,6 @@ std::vector<std::uint8_t> tune_artifact(
   cfg.population = tr.population;
   cfg.weights =
       tune::TuneWeights{tr.weight_cr, tr.weight_tat, tr.weight_gates, tr.p};
-  cfg.impl = impl;
   // Serial fitness evaluation: this code already runs on a pool worker, and
   // nesting a blocking parallel_map onto the same pool would deadlock a
   // small pool (the task would wait on subtasks queued behind itself).
@@ -550,8 +549,7 @@ void Server::run_batch(std::vector<Request> batch) {
                                       std::memory_order_relaxed);
   try {
     // One coder per batch: the whole group shares its table and K.
-    const codec::NineCoded coder =
-        batch.front().spec.make_coder(config_.codec_impl);
+    const codec::NineCoded coder = batch.front().spec.make_coder();
     for (const Request& req : batch) {
       // Shed before compute: a request that expired while queued gets its
       // typed reply now instead of a result nobody is waiting for.
@@ -592,7 +590,7 @@ void Server::process_request(const codec::NineCoded& coder,
     if (req.type == FrameType::kTuneRequest) {
       out = *resolve(key, [&] {
         metrics_.tune_searches.fetch_add(1, std::memory_order_relaxed);
-        return tune_artifact(req.payload, config_.codec_impl);
+        return tune_artifact(req.payload);
       });
     } else if (req.type == FrameType::kEncodeRequest) {
       reply_type = FrameType::kEncodeReply;

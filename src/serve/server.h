@@ -59,10 +59,6 @@
 namespace nc::serve {
 
 struct ServerConfig {
-  /// 9C hot-path implementation for every batch coder. Byte-identical
-  /// output across choices, so cached/stored artifacts remain valid when
-  /// the server restarts under a different impl.
-  codec::CodecImpl codec_impl = codec::CodecImpl::kAuto;
   std::size_t worker_threads = 0;   // 0 = ThreadPool::hardware_threads()
   std::size_t queue_capacity = 64;  // admission bound on queued requests
   std::uint32_t inflight_cap = 8;   // per-client outstanding requests

@@ -8,8 +8,8 @@
 namespace nc::tune {
 
 FitnessEvaluator::FitnessEvaluator(const bits::TestSet& td,
-                                   TuneWeights weights, codec::CodecImpl impl)
-    : td_(td), weights_(weights), impl_(impl) {}
+                                   TuneWeights weights)
+    : td_(td), weights_(weights) {}
 
 const bits::TritVector& FitnessEvaluator::filled_stream(
     const TuneGenome& genome) const {
@@ -58,7 +58,7 @@ std::size_t datapath_gate_estimate(std::size_t k, std::size_t split,
 FitnessReport FitnessEvaluator::evaluate(const TuneGenome& genome) const {
   FitnessReport report;
   try {
-    const codec::NineCoded coder = genome.make_coder(impl_);
+    const codec::NineCoded coder = genome.make_coder();
     const bits::TritVector& stream = filled_stream(genome);
     const codec::NineCodedStats stats = coder.analyze(stream);
     report.cr_percent = stats.compression_ratio();

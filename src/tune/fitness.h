@@ -2,10 +2,10 @@
 // real synthesized decoder cost.
 //
 // Nothing in here estimates. The candidate is run end-to-end through the
-// production NineCoded path (bitplane through the CodecImpl selector) for
-// its compression ratio, through decomp's cycle accounting for TAT, and its
-// decoder controller is synthesized gate-by-gate with synth::code_synth
-// (trie FSM + Quine-McCluskey) for the hardware price. The three axes
+// production NineCoded coder for its compression ratio, through decomp's
+// cycle accounting for TAT, and its decoder controller is synthesized
+// gate-by-gate with synth::code_synth (trie FSM + Quine-McCluskey) for the
+// hardware price. The three axes
 // combine under a weight vector into one scalar score; an invalid genome
 // (Kraft violation, oversized FSM) scores -infinity and is counted, not
 // repaired -- the optimizer's selection pressure does the repairing.
@@ -53,8 +53,7 @@ struct FitnessReport {
 /// (pure functions of the fill policy + seed) are memoized under a mutex.
 class FitnessEvaluator {
  public:
-  FitnessEvaluator(const bits::TestSet& td, TuneWeights weights,
-                   codec::CodecImpl impl = codec::CodecImpl::kAuto);
+  FitnessEvaluator(const bits::TestSet& td, TuneWeights weights);
 
   /// Never throws for an invalid genome: returns report.valid = false with
   /// score -infinity.
@@ -69,7 +68,6 @@ class FitnessEvaluator {
 
   bits::TestSet td_;
   TuneWeights weights_;
-  codec::CodecImpl impl_;
 
   mutable std::mutex mutex_;
   mutable std::map<std::pair<unsigned, std::uint64_t>, bits::TritVector>

@@ -43,8 +43,8 @@ bool TuneGenome::is_standard_shape() const noexcept {
   return split == 0 && fill == FillPolicy::kNone;
 }
 
-codec::NineCoded TuneGenome::make_coder(codec::CodecImpl impl) const {
-  return codec::NineCoded(k, codec::CodewordTable::from_lengths(lengths), impl,
+codec::NineCoded TuneGenome::make_coder() const {
+  return codec::NineCoded(k, codec::CodewordTable::from_lengths(lengths),
                           split);
 }
 

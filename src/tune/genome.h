@@ -81,8 +81,7 @@ struct TuneGenome {
 
   /// Builds the coder; throws codec::CodeSpecError / std::invalid_argument
   /// if the genome is invalid (bad lengths, bad K/split combination).
-  codec::NineCoded make_coder(
-      codec::CodecImpl impl = codec::CodecImpl::kAuto) const;
+  codec::NineCoded make_coder() const;
 
   /// Applies the fill policy (identity copy for kNone).
   bits::TestSet apply_fill(const bits::TestSet& td) const;

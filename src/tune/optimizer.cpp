@@ -29,9 +29,8 @@ std::uint64_t draw(std::mt19937_64& rng, std::uint64_t n) {
 /// so the winner provably dominates it.
 TuneGenome frequency_directed_genome(const bits::TestSet& td,
                                      const TuneConfig& cfg) {
-  const codec::NineCoded probe(cfg.baseline_k, codec::CodewordTable::standard(),
-                               cfg.impl);
-  const codec::NineCodedStats stats = probe.analyze(td.flatten());
+  const codec::NineCodedStats stats =
+      codec::NineCoded(cfg.baseline_k).analyze(td.flatten());
   const codec::CodewordTable table =
       codec::CodewordTable::frequency_directed(stats.counts);
   TuneGenome g = TuneGenome::standard(cfg.baseline_k);
@@ -145,7 +144,7 @@ void validate(const bits::TestSet& td, const TuneConfig& cfg) {
 TuneResult run_tune(const bits::TestSet& td, const TuneConfig& cfg) {
   validate(td, cfg);
 
-  const FitnessEvaluator eval(td, cfg.weights, cfg.impl);
+  const FitnessEvaluator eval(td, cfg.weights);
   core::ThreadPool pool(cfg.jobs);
 
   const TuneGenome standard = TuneGenome::standard(cfg.baseline_k);

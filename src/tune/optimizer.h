@@ -31,7 +31,6 @@ struct TuneConfig {
   /// Worker threads for fitness evaluation (result-invariant).
   std::size_t jobs = 1;
   TuneWeights weights;
-  codec::CodecImpl impl = codec::CodecImpl::kAuto;
 
   /// Mutation bounds. K stays in [k_min, k_max]; codeword lengths in
   /// [1, max_len] (the decoder FSM grows with the trie, so cap it);

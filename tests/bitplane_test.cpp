@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "bits/bitplane.h"
 #include "bits/serialize.h"
@@ -19,6 +20,7 @@
 #include "core/crc.h"
 #include "gen/cube_gen.h"
 #include "gen/profiles.h"
+#include "reference/nine_coded_reference.h"
 
 namespace nc::bits {
 namespace {
@@ -227,8 +229,8 @@ TEST(BitplaneReader, MirrorsTritReaderErrorOffsets) {
 // encoded at K=8 and serialized with save_trits. Pins |TD|, |TE|, the
 // CRC-32 of the serialized bytes and the first bytes of the dump, so any
 // change to cube generation, classification, codeword emission, payload
-// order or serialization shows up as a concrete byte diff -- under either
-// codec implementation, which must produce this identical artifact.
+// order or serialization shows up as a concrete byte diff -- from the
+// production coder and from the per-trit reference alike.
 TEST(PinnedArtifact, S5378StreamBytesAreFrozen) {
   const gen::BenchmarkProfile* s5378 = nullptr;
   for (const auto& profile : gen::iscas89_profiles())
@@ -238,27 +240,29 @@ TEST(PinnedArtifact, S5378StreamBytesAreFrozen) {
   const TritVector flat = td.flatten();
   ASSERT_EQ(flat.size(), 23754u);
 
-  for (const auto impl :
-       {codec::CodecImpl::kScalar, codec::CodecImpl::kBitplane}) {
-    const codec::NineCoded coder(8, impl);
-    const TritVector te = coder.encode(flat);
-    EXPECT_EQ(te.size(), 10317u) << to_string(impl);
+  const codec::NineCoded coder(8);
+  TritVector reference_te;
+  codec::reference_analyze(coder, flat, &reference_te);
+  for (const auto& [name, te] :
+       {std::pair<const char*, TritVector>{"production", coder.encode(flat)},
+        {"reference", reference_te}}) {
+    EXPECT_EQ(te.size(), 10317u) << name;
 
     std::ostringstream dump;
     save_trits(dump, te);
     const std::string bytes = dump.str();
-    EXPECT_EQ(bytes.size(), 2593u) << to_string(impl);
+    EXPECT_EQ(bytes.size(), 2593u) << name;
     const std::uint32_t crc = core::crc32(
         reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size());
-    EXPECT_EQ(crc, 0x780EBDEFu) << to_string(impl) << " actual crc=0x"
-                                << std::hex << crc;
+    EXPECT_EQ(crc, 0x780EBDEFu) << name << " actual crc=0x" << std::hex
+                                << crc;
     // "NCT1", the trit-stream kind byte, and the little-endian symbol
     // count 10317 = 0x284D.
     const unsigned char head[8] = {0x4E, 0x43, 0x54, 0x31,
                                    0x00, 0x4D, 0x28, 0x00};
     for (std::size_t i = 0; i < sizeof head; ++i)
       EXPECT_EQ(static_cast<unsigned char>(bytes[i]), head[i])
-          << to_string(impl) << " byte " << i;
+          << name << " byte " << i;
   }
 }
 

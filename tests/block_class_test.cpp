@@ -9,7 +9,9 @@ using bits::TritVector;
 
 BlockClass classify(const std::string& block) {
   const TritVector v = TritVector::from_string(block);
-  return classify_block(v, 0, v.size());
+  const std::size_t half = v.size() / 2;
+  return classify_halves(classify_half(v, 0, half),
+                         classify_half(v, half, half));
 }
 
 TEST(ClassifyHalf, AllZeroIsZeroCompatibleOnly) {

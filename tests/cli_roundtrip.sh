@@ -12,10 +12,8 @@ trap 'rm -rf "$DIR"' EXIT
 "$NINEC" stats --in "$DIR/td.tests" > "$DIR/stats.txt"
 grep -q "CR%" "$DIR/stats.txt"
 
-for extra in "" "--freq-directed"; do
-  "$NINEC" compress --in "$DIR/td.tests" --out "$DIR/te.9c" --k 8 $extra
-  "$NINEC" decompress --in "$DIR/te.9c" --out "$DIR/back.tests"
-  # Line-by-line cover check: wherever td has 0/1, back must match.
+# Line-by-line cover check: wherever td has 0/1, back must match.
+expect_covered() {
   awk 'NR==FNR { a[FNR] = $0; next }
        {
          if (length($0) != length(a[FNR])) { print "width mismatch"; exit 1 }
@@ -25,8 +23,19 @@ for extra in "" "--freq-directed"; do
              print "care bit mismatch at line " FNR " col " i; exit 1
            }
          }
-       }' "$DIR/td.tests" "$DIR/back.tests"
+       }' "$1" "$2"
+}
+
+for extra in "" "--freq-directed"; do
+  "$NINEC" compress --in "$DIR/td.tests" --out "$DIR/te.9c" --k 8 $extra
+  "$NINEC" decompress --in "$DIR/te.9c" --out "$DIR/back.tests"
+  expect_covered "$DIR/td.tests" "$DIR/back.tests"
 done
+
+# 254 is the largest even K the one-byte header field holds.
+"$NINEC" compress --in "$DIR/td.tests" --out "$DIR/k254.9c" --k 254
+"$NINEC" decompress --in "$DIR/k254.9c" --out "$DIR/k254.tests"
+expect_covered "$DIR/td.tests" "$DIR/k254.tests"
 
 # Binary test-set container round-trips through compress/decompress too.
 "$NINEC" gen --profile s5378 --out "$DIR/td.bin"
@@ -47,16 +56,18 @@ echo "cli session OK"
 
 # Malformed count flags must fail fast with exit code 2 (not crash, not
 # silently coerce): non-numeric, zero, negative, overflow.
-expect_usage_error() {
+expect_exit() {
+  want=$1; shift
   set +e
   "$NINEC" "$@" >/dev/null 2>"$DIR/err.txt"
   code=$?
   set -e
-  if [ "$code" -ne 2 ]; then
-    echo "expected exit 2 from: ninec $*  (got $code)"; exit 1
+  if [ "$code" -ne "$want" ]; then
+    echo "expected exit $want from: ninec $*  (got $code)"; exit 1
   fi
   test -s "$DIR/err.txt"  # one-line diagnostic on stderr
 }
+expect_usage_error() { expect_exit 2 "$@"; }
 expect_usage_error compress --in "$DIR/td.tests" --out "$DIR/x.9c" --shards abc
 expect_usage_error compress --in "$DIR/td.tests" --out "$DIR/x.9c" --shards 0
 expect_usage_error compress --in "$DIR/td.tests" --out "$DIR/x.9c" --jobs -3
@@ -66,6 +77,18 @@ expect_usage_error session --bench "$DIR/c.bench" --tests "$DIR/atpg.tests" \
   --jobs 99999999999999999999999
 expect_usage_error fleet --bench "$DIR/c.bench" --tests "$DIR/atpg.tests" \
   --devices 0
+# Unknown flags are usage errors, not silently ignored.
+expect_usage_error compress --in "$DIR/td.tests" --out "$DIR/x.9c" --bogus
+expect_usage_error compress --in "$DIR/td.tests" --out "$DIR/x.9c" \
+  --codec-impl scalar
+expect_usage_error store stats --dir "$DIR" --bogus
+# Stream headers store K in one byte: K > 255 is refused before encoding,
+# whether it comes from --k or from a --table genome.
+expect_usage_error compress --in "$DIR/td.tests" --out "$DIR/x.9c" --k 256
+printf '{"format":"nc9-tune-genome","k":256,"split":0,"lengths":[1,2,5,5,5,5,5,5,4],"fill":"none","fill_seed":1}\n' \
+  > "$DIR/k256.json"
+expect_usage_error compress --in "$DIR/td.tests" --out "$DIR/x.9c" \
+  --table "$DIR/k256.json"
 # 'auto' spells out the old 0-means-auto convention.
 "$NINEC" compress --in "$DIR/td.tests" --out "$DIR/ta.9c" --shards auto --jobs auto
 "$NINEC" decompress --in "$DIR/ta.9c" --out "$DIR/backa.tests" --jobs auto
@@ -78,6 +101,23 @@ expect_usage_error roundtrip --bench "$DIR/c.bench" --compact-outputs 0
 expect_usage_error roundtrip --bench "$DIR/c.bench" --xcode nope
 
 echo "cli strict parsing OK"
+
+# Crafted 43-byte NC9C files: a real K=8 header, a pattern count and width
+# whose product overflows size_t, and an empty trit stream. decompress must
+# fail with exit 1 and a message -- not crash (3 x (2^64-1)/3 = 2^64-1) and
+# not write an empty test set (2 x 2^63 wraps to 0).
+"$NINEC" compress --in "$DIR/td.tests" --out "$DIR/k8.9c" --k 8
+Z7='\000\000\000\000\000\000\000'
+{ head -c 14 "$DIR/k8.9c"; printf "\\003${Z7}UUUUUUUUNCT1\\000${Z7}\\000"; } \
+  > "$DIR/wrap_max.9c"
+{ head -c 14 "$DIR/k8.9c"; printf "\\002${Z7}${Z7}\\200NCT1\\000${Z7}\\000"; } \
+  > "$DIR/wrap_zero.9c"
+test "$(wc -c < "$DIR/wrap_max.9c")" -eq 43
+test "$(wc -c < "$DIR/wrap_zero.9c")" -eq 43
+expect_exit 1 decompress --in "$DIR/wrap_max.9c" --out "$DIR/x.tests"
+expect_exit 1 decompress --in "$DIR/wrap_zero.9c" --out "$DIR/x.bin"
+
+echo "cli crafted headers OK"
 
 # Closed tester loop: identity compaction is the uncompacted tester, so the
 # zero-loss gate (exit 0) must hold, and the JSON report lands.

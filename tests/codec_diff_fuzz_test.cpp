@@ -1,21 +1,24 @@
-// Differential fuzzing of the two 9C codec implementations.
+// Differential fuzzing of the production 9C coder against its reference.
 //
-// The scalar per-trit path is the executable specification; the
-// word-parallel bitplane path must be indistinguishable from it on every
-// input: identical TE streams (word-compare, so the packed representation
-// is canonical too), identical statistics, identical decode output, and --
-// on corrupted streams -- the identical typed DecodeError down to the
-// fault kind, TE offset and block index. Runs under the ASan/UBSan and
-// TSan legs of tools/check.sh, so any out-of-bounds word arithmetic at
-// half boundaries or odd tails surfaces here first.
+// The per-trit reference (tests/reference) is the executable
+// specification; the word-parallel production NineCoded must be
+// indistinguishable from it on every input: identical TE streams
+// (word-compare, so the packed representation is canonical too), identical
+// statistics, identical decode output, and -- on corrupted streams -- the
+// identical typed DecodeError down to the fault kind, TE offset and block
+// index. Runs under the ASan/UBSan and TSan legs of tools/check.sh, so any
+// out-of-bounds word arithmetic at half boundaries or odd tails surfaces
+// here first.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 #include <random>
 #include <vector>
 
 #include "codec/nine_coded.h"
 #include "codec/sharded.h"
+#include "reference/nine_coded_reference.h"
 
 namespace nc::codec {
 namespace {
@@ -37,7 +40,7 @@ TritVector random_cube(std::mt19937& rng, std::size_t n, double x_density) {
 }
 
 /// Everything observable from one decode attempt. Differential equality of
-/// this struct is the whole contract: both impls succeed with the same
+/// this struct is the whole contract: both coders succeed with the same
 /// bits, or both fail with the same typed error.
 struct DecodeResult {
   std::optional<TritVector> data;
@@ -50,7 +53,8 @@ struct DecodeResult {
   bool operator==(const DecodeResult&) const = default;
 };
 
-DecodeResult try_decode(const NineCoded& coder, const TritVector& te,
+template <typename Coder>  // NineCoded or ReferenceCodec
+DecodeResult try_decode(const Coder& coder, const TritVector& te,
                         std::size_t original_bits) {
   DecodeResult r;
   try {
@@ -66,33 +70,34 @@ DecodeResult try_decode(const NineCoded& coder, const TritVector& te,
   return r;
 }
 
-/// One full differential check: encode under both impls, compare streams
-/// and stats field by field, then decode each stream under both impls.
+/// One full differential check: encode with the reference and production,
+/// compare streams and stats field by field, then decode the stream with
+/// both.
 void expect_identical(std::size_t k, const TritVector& td,
                       const char* context) {
-  const NineCoded scalar(k, CodecImpl::kScalar);
-  const NineCoded bitplane(k, CodecImpl::kBitplane);
+  const NineCoded production(k);
+  const ReferenceCodec reference(production);
 
-  TritVector te_s, te_b;
-  const NineCodedStats ss = scalar.analyze(td, &te_s);
-  const NineCodedStats sb = bitplane.analyze(td, &te_b);
+  TritVector te_r, te_p;
+  const NineCodedStats sr = reference_analyze(production, td, &te_r);
+  const NineCodedStats sp = production.analyze(td, &te_p);
 
-  ASSERT_TRUE(te_s == te_b) << context << " K=" << k << " n=" << td.size()
-                            << "\nscalar  =" << te_s.to_string()
-                            << "\nbitplane=" << te_b.to_string();
-  ASSERT_EQ(ss.encoded_bits, sb.encoded_bits) << context;
-  ASSERT_EQ(ss.padded_bits, sb.padded_bits) << context;
-  ASSERT_EQ(ss.filled_x, sb.filled_x) << context;
-  ASSERT_EQ(ss.leftover_x, sb.leftover_x) << context;
-  ASSERT_EQ(ss.counts, sb.counts) << context;
+  ASSERT_TRUE(te_r == te_p) << context << " K=" << k << " n=" << td.size()
+                            << "\nreference =" << te_r.to_string()
+                            << "\nproduction=" << te_p.to_string();
+  ASSERT_EQ(sr.encoded_bits, sp.encoded_bits) << context;
+  ASSERT_EQ(sr.padded_bits, sp.padded_bits) << context;
+  ASSERT_EQ(sr.filled_x, sp.filled_x) << context;
+  ASSERT_EQ(sr.leftover_x, sp.leftover_x) << context;
+  ASSERT_EQ(sr.counts, sp.counts) << context;
 
-  const DecodeResult ds = try_decode(scalar, te_s, td.size());
-  const DecodeResult db = try_decode(bitplane, te_s, td.size());
-  ASSERT_FALSE(ds.fault.has_value())
+  const DecodeResult dr = try_decode(reference, te_r, td.size());
+  const DecodeResult dp = try_decode(production, te_r, td.size());
+  ASSERT_FALSE(dr.fault.has_value())
       << context << ": clean stream failed to decode";
-  ASSERT_TRUE(ds == db) << context << " K=" << k
+  ASSERT_TRUE(dr == dp) << context << " K=" << k
                         << ": decoders disagree on a clean stream";
-  ASSERT_TRUE(td.covered_by(*ds.data)) << context;
+  ASSERT_TRUE(td.covered_by(*dr.data)) << context;
 }
 
 // ------------------------------------------------- randomized bulk trials
@@ -119,19 +124,20 @@ TEST(CodecDiffFuzz, RandomizedTrialsAcrossKAndDensity) {
   ASSERT_GE(trials, 500);
 }
 
-// Frequency-directed tables permute the codeword lengths; the two impls
+// Frequency-directed tables permute the codeword lengths; the two coders
 // must agree under every table they can be handed, not just the default.
 TEST(CodecDiffFuzz, FrequencyDirectedTablesAgree) {
   std::mt19937 rng(4242);
   for (int t = 0; t < 40; ++t) {
     const std::size_t k = 2 + 2 * (rng() % 24);
     const TritVector td = random_cube(rng, 500 + rng() % 500, 0.6);
-    const NineCoded tuned_s = NineCoded::tuned_for(td, k, CodecImpl::kScalar);
-    const NineCoded tuned_b =
-        NineCoded::tuned_for(td, k, CodecImpl::kBitplane);
-    ASSERT_TRUE(tuned_s.table() == tuned_b.table())
+    // The reference runs the two passes of NineCoded::tuned_for itself.
+    const NineCoded tuned_r(k, CodewordTable::frequency_directed(
+                                   reference_analyze(NineCoded(k), td).counts));
+    const NineCoded tuned_p = NineCoded::tuned_for(td, k);
+    ASSERT_TRUE(tuned_r.table() == tuned_p.table())
         << "two-pass tuning diverged at K=" << k;
-    ASSERT_TRUE(tuned_s.encode(td) == tuned_b.encode(td));
+    ASSERT_TRUE(ReferenceCodec(tuned_r).encode(td) == tuned_p.encode(td));
   }
 }
 
@@ -178,7 +184,16 @@ TEST(CodecDiffFuzz, SingleTritConflictSweep) {
 }
 
 TEST(CodecDiffFuzz, EmptyInput) {
-  for (std::size_t k : {2u, 8u, 64u}) expect_identical(k, TritVector(), "empty");
+  for (std::size_t k : {2u, 8u, 64u}) {
+    expect_identical(k, TritVector(), "empty");
+    // A length near SIZE_MAX fails the same way in both (kTruncated).
+    const NineCoded production(k);
+    const std::size_t huge = std::numeric_limits<std::size_t>::max();
+    const DecodeResult dr =
+        try_decode(ReferenceCodec(production), TritVector(), huge);
+    EXPECT_EQ(dr.fault, DecodeFault::kTruncated);
+    EXPECT_TRUE(dr == try_decode(production, TritVector(), huge));
+  }
 }
 
 // ------------------------------------------- corrupted-stream differential
@@ -192,10 +207,10 @@ TEST(CodecDiffFuzz, CorruptedStreamsFailIdentically) {
   int faults_seen = 0;
   for (int t = 0; t < 200; ++t) {
     const std::size_t k = 2 + 2 * (rng() % 32);
-    const NineCoded scalar(k, CodecImpl::kScalar);
-    const NineCoded bitplane(k, CodecImpl::kBitplane);
+    const NineCoded production(k);
+    const ReferenceCodec reference(production);
     const TritVector td = random_cube(rng, 64 + rng() % 400, 0.5);
-    TritVector te = scalar.encode(td);
+    TritVector te = reference.encode(td);
     if (te.empty()) continue;
 
     switch (rng() % 4) {
@@ -216,17 +231,19 @@ TEST(CodecDiffFuzz, CorruptedStreamsFailIdentically) {
         break;
     }
 
-    const DecodeResult ds = try_decode(scalar, te, td.size());
-    const DecodeResult db = try_decode(bitplane, te, td.size());
-    ASSERT_TRUE(ds == db)
+    const DecodeResult dr = try_decode(reference, te, td.size());
+    const DecodeResult dp = try_decode(production, te, td.size());
+    ASSERT_TRUE(dr == dp)
         << "decoders disagree on corrupted stream, K=" << k << " trial " << t
-        << (ds.fault ? std::string(" scalar fault ") + to_string(*ds.fault) +
-                           " @" + std::to_string(ds.fault_offset)
-                     : std::string(" scalar succeeded"))
-        << (db.fault ? std::string(" bitplane fault ") + to_string(*db.fault) +
-                           " @" + std::to_string(db.fault_offset)
-                     : std::string(" bitplane succeeded"));
-    if (ds.fault.has_value()) ++faults_seen;
+        << (dr.fault ? std::string(" reference fault ") +
+                           to_string(*dr.fault) + " @" +
+                           std::to_string(dr.fault_offset)
+                     : std::string(" reference succeeded"))
+        << (dp.fault ? std::string(" production fault ") +
+                           to_string(*dp.fault) + " @" +
+                           std::to_string(dp.fault_offset)
+                     : std::string(" production succeeded"));
+    if (dr.fault.has_value()) ++faults_seen;
   }
   // The mutation mix must actually exercise the error paths, not decay
   // into a round-trip test (complete code: value flips often still parse).
@@ -235,10 +252,10 @@ TEST(CodecDiffFuzz, CorruptedStreamsFailIdentically) {
 
 // ------------------------------------------- sharded/parallel differential
 
-// The sharded container inherits whatever impl its coder carries; run the
-// full parallel encode/decode pipeline under both and require identical
-// containers. With jobs=4 this also puts the bitplane word paths under
-// TSan's eye via check.sh's tsan leg.
+// The sharded container runs whatever Codec it is handed; run the full
+// parallel encode/decode pipeline with the reference and with production
+// and require identical containers. With jobs=4 this also puts the
+// production word paths under TSan's eye via check.sh's tsan leg.
 TEST(CodecDiffFuzz, ShardedParallelPipelineAgrees) {
   std::mt19937 rng(777);
   TestSet td(40, 96);
@@ -248,16 +265,16 @@ TEST(CodecDiffFuzz, ShardedParallelPipelineAgrees) {
       td.set(p, c, r < 6 ? Trit::X : bits::trit_from_bit(r & 1u));
     }
   for (std::size_t k : {8u, 64u}) {
-    const NineCoded scalar(k, CodecImpl::kScalar);
-    const NineCoded bitplane(k, CodecImpl::kBitplane);
-    const TritVector c_s = encode_sharded(scalar, td, 8, 4);
-    const TritVector c_b = encode_sharded(bitplane, td, 8, 4);
-    ASSERT_TRUE(c_s == c_b) << "sharded containers differ at K=" << k;
-    const TestSet back_s = decode_sharded(scalar, c_b, 4);
-    const TestSet back_b = decode_sharded(bitplane, c_b, 4);
-    ASSERT_EQ(back_s.pattern_count(), back_b.pattern_count());
-    ASSERT_TRUE(back_s.flatten() == back_b.flatten());
-    ASSERT_TRUE(td.flatten().covered_by(back_b.flatten()));
+    const NineCoded production(k);
+    const ReferenceCodec reference(production);
+    const TritVector c_r = encode_sharded(reference, td, 8, 4);
+    const TritVector c_p = encode_sharded(production, td, 8, 4);
+    ASSERT_TRUE(c_r == c_p) << "sharded containers differ at K=" << k;
+    const TestSet back_r = decode_sharded(reference, c_p, 4);
+    const TestSet back_p = decode_sharded(production, c_p, 4);
+    ASSERT_EQ(back_r.pattern_count(), back_p.pattern_count());
+    ASSERT_TRUE(back_r.flatten() == back_p.flatten());
+    ASSERT_TRUE(td.flatten().covered_by(back_p.flatten()));
   }
 }
 

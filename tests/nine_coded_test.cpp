@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace nc::codec {
 namespace {
 
@@ -158,6 +160,19 @@ TEST(NineCoded, DecodeThrowsOnCorruptStream) {
   // "11" followed by end of stream: no codeword can complete.
   try {
     nc.decode(bits::TritVector::from_string("11"), 8);
+    FAIL() << "expected DecodeError";
+  } catch (const DecodeError& e) {
+    EXPECT_EQ(e.fault(), DecodeFault::kTruncated);
+    EXPECT_EQ(e.block_index(), 0u);
+  }
+}
+
+TEST(NineCoded, HugeLengthWithEmptyStreamIsTruncated) {
+  // A crafted length near SIZE_MAX must not wrap the block count to zero:
+  // the decoder runs out of TE on the first block.
+  const NineCoded nc(8);
+  try {
+    nc.decode_checked(TritVector{}, std::numeric_limits<std::size_t>::max());
     FAIL() << "expected DecodeError";
   } catch (const DecodeError& e) {
     EXPECT_EQ(e.fault(), DecodeFault::kTruncated);

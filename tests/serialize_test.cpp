@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 namespace nc::bits {
 namespace {
@@ -69,6 +72,17 @@ TEST(Serialize, RejectsInvalidTritEncoding) {
   data[data.size() - 1] = '\xFF';  // 0b11 trits
   std::stringstream bad(data);
   EXPECT_THROW(load_trits(bad), std::runtime_error);
+}
+
+TEST(Serialize, RejectsOverflowingTestSetGeometry) {
+  // patterns x width = 2 x 2^63 wraps to 0 in size_t, so an empty payload
+  // would otherwise load as a test set claiming that geometry.
+  std::string bytes("NCT1\x01", 5);
+  for (const std::uint64_t v : {std::uint64_t{2}, std::uint64_t{1} << 63})
+    for (int i = 0; i < 8; ++i)
+      bytes.push_back(static_cast<char>(v >> (8 * i)));
+  std::stringstream io(bytes);
+  EXPECT_THROW(load_test_set(io), std::invalid_argument);
 }
 
 TEST(Serialize, FileHelpersRoundTrip) {

@@ -1,8 +1,8 @@
 // Round-trip contracts for everything a tuned genome travels through:
 // JSON table files, the fixed-width byte form inside serve payloads and
 // artifacts, and -- most importantly -- the encoder/decoder pair under
-// asymmetric splits and fill policies, where scalar and bitplane impls must
-// stay byte-identical.
+// asymmetric splits and fill policies, where the production coder must stay
+// byte-identical to the per-trit reference.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -11,6 +11,7 @@
 
 #include "codec/nine_coded.h"
 #include "gen/cube_gen.h"
+#include "reference/nine_coded_reference.h"
 #include "serve/frame.h"
 #include "tune/genome.h"
 
@@ -115,21 +116,19 @@ TEST(GenomeCoder, AsymmetricSplitsDecodeByteIdentically) {
       TuneGenome g;
       g.k = k;
       g.split = split;
-      const codec::NineCoded scalar =
-          g.make_coder(codec::CodecImpl::kScalar);
-      const codec::NineCoded bitplane =
-          g.make_coder(codec::CodecImpl::kBitplane);
-      TritVector te_s, te_b;
-      scalar.analyze(stream, &te_s);
-      bitplane.analyze(stream, &te_b);
-      ASSERT_EQ(te_s, te_b) << "K=" << k << " split=" << split;
-      const TritVector back_s = scalar.decode(te_s, stream.size());
-      const TritVector back_b = bitplane.decode(te_b, stream.size());
-      ASSERT_EQ(back_s, back_b) << "K=" << k << " split=" << split;
+      const codec::NineCoded coder = g.make_coder();
+      TritVector te_r, te_p;
+      codec::reference_analyze(coder, stream, &te_r);
+      coder.analyze(stream, &te_p);
+      ASSERT_EQ(te_r, te_p) << "K=" << k << " split=" << split;
+      const TritVector back_r =
+          codec::reference_decode_checked(coder, te_r, stream.size()).data;
+      const TritVector back_p = coder.decode(te_p, stream.size());
+      ASSERT_EQ(back_r, back_p) << "K=" << k << " split=" << split;
       // Decode restores TD exactly where TD was specified; X positions may
       // come back refined, which the TestSet comparison below tolerates by
       // re-flattening through covers().
-      ASSERT_TRUE(stream.covered_by(back_s)) << "K=" << k << " s=" << split;
+      ASSERT_TRUE(stream.covered_by(back_r)) << "K=" << k << " s=" << split;
     }
   }
 }

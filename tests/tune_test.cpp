@@ -135,23 +135,6 @@ TEST(TuneOptimizer, RejectsDegenerateConfigs) {
   EXPECT_THROW(run_tune(td, cfg), std::invalid_argument);
 }
 
-TEST(TuneOptimizer, ScalarAndBitplaneAgreeOnScores) {
-  // Fitness is defined on the encoded stream, which is impl-invariant by
-  // the codec's own contract -- so the whole search must be too. This is
-  // what lets the server run under any CodecImpl and still serve
-  // content-addressed tune artifacts.
-  const TestSet td = small_workload();
-  TuneConfig cfg = quick_config();
-  cfg.impl = codec::CodecImpl::kScalar;
-  const TuneResult scalar = run_tune(td, cfg);
-  cfg.impl = codec::CodecImpl::kBitplane;
-  const TuneResult bitplane = run_tune(td, cfg);
-  EXPECT_EQ(scalar.best, bitplane.best);
-  EXPECT_EQ(scalar.best_report.score, bitplane.best_report.score);
-  EXPECT_EQ(scalar.best_report.encoded_bits,
-            bitplane.best_report.encoded_bits);
-}
-
 TEST(TuneFitness, InvalidGenomeScoresMinusInfinity) {
   const TestSet td = small_workload();
   const FitnessEvaluator eval(td, TuneWeights{});

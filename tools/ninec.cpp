@@ -22,6 +22,7 @@
 // codec/sharded.h (magic NC9S on disk): pattern-aligned shards encoded
 // concurrently behind a per-shard offset/length/CRC index, which decompress
 // decodes with --jobs workers. --jobs 0 means one per hardware thread.
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -36,6 +37,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "atpg/atpg.h"
@@ -184,11 +186,8 @@ using nc::bits::TritVector;
       "             --signature-x sets the response X-overlay density)\n"
       "count options (--devices, --shards, --jobs, --batch, --k, --p, ...)\n"
       "take a positive integer; --shards/--jobs also accept 'auto' (one\n"
-      "shard/worker per hardware thread). Malformed values exit with code 2.\n"
-      "compress/decompress/stats/session/fleet/serve also take\n"
-      "  --codec-impl auto|scalar|bitplane   9C hot-path implementation\n"
-      "(auto = word-parallel bitplane; scalar is the per-trit reference;\n"
-      "both produce byte-identical streams -- see DESIGN.md section 13).\n";
+      "shard/worker per hardware thread). Malformed values, unknown flags\n"
+      "and compress --k above 255 exit with code 2.\n";
   std::exit(error.empty() ? 0 : 2);
 }
 
@@ -224,14 +223,18 @@ double parse_ratio(const std::string& key, const std::string& text) {
   }
 }
 
-/// Tiny flag parser: --name value pairs plus boolean switches.
+/// Tiny flag parser: --name value pairs plus boolean switches. A flag not
+/// in `flags` (the ones the command reads) is a usage error (exit 2).
 class Args {
  public:
-  Args(int argc, char** argv, int first) {
+  Args(int argc, char** argv, int first,
+       const std::vector<std::string_view>& flags) {
     for (int i = first; i < argc; ++i) {
       std::string key = argv[i];
       if (key.rfind("--", 0) != 0) usage("unexpected argument: " + key);
       key = key.substr(2);
+      if (std::find(flags.begin(), flags.end(), key) == flags.end())
+        usage("unknown flag --" + key + " for " + argv[first - 1]);
       if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0)
         values_[key] = argv[++i];
       else
@@ -274,16 +277,6 @@ class Args {
   std::map<std::string, std::string> values_;
 };
 
-/// --codec-impl auto|scalar|bitplane (default auto). Anything else exits 2.
-nc::codec::CodecImpl parse_codec_impl(const Args& args) {
-  const std::string text = args.get("codec-impl", "auto");
-  const auto impl = nc::codec::codec_impl_from_string(text);
-  if (!impl.has_value())
-    usage("--codec-impl expects auto, scalar or bitplane, got '" + text +
-          "'");
-  return *impl;
-}
-
 bool is_text_path(const std::string& path) {
   return path.ends_with(".tests") || path.ends_with(".txt");
 }
@@ -314,6 +307,14 @@ void save_tests(const std::string& path, const TestSet& ts) {
 // split reaches the decoder (asymmetric halves change the stream layout);
 // fill/fill_seed are provenance only -- the encoded payload is the filled
 // TD, so decoding needs neither.
+
+/// The headers store K in one byte: compress refuses a larger K up front
+/// instead of writing a stream that decompress cannot read.
+void check_header_k(std::size_t k, const std::string& source) {
+  if (k > 255)
+    usage(source + " must be at most 255 (stream headers store K in one "
+          "byte), got " + std::to_string(k));
+}
 
 void save_stream(const std::string& path, const nc::codec::NineCoded& coder,
                  const TestSet& td, const TritVector& te,
@@ -349,8 +350,7 @@ struct LoadedStream {
   bool sharded = false;
 };
 
-LoadedStream load_stream(const std::string& path,
-                         nc::codec::CodecImpl impl = nc::codec::CodecImpl::kAuto) {
+LoadedStream load_stream(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open " + path);
   char magic[4];
@@ -381,7 +381,7 @@ LoadedStream load_stream(const std::string& path,
   TritVector te = nc::bits::load_trits(in);
   return LoadedStream{
       nc::codec::NineCoded(k, nc::codec::CodewordTable::from_lengths(lengths),
-                           impl, split),
+                           split),
       patterns, width, std::move(te), sharded};
 }
 
@@ -461,7 +461,6 @@ int cmd_roundtrip(const Args& args) {
 
   nc::compact::RoundtripConfig cfg;
   cfg.block_size = args.get_count("k", cfg.block_size);
-  cfg.codec_impl = parse_codec_impl(args);
   cfg.xcode.kind = parse_xcode_kind(args);
   // get_count rejects 0: m = 0 (auto) is spelled by omitting the flag.
   cfg.xcode.outputs = args.get_count("compact-outputs", 0);
@@ -544,7 +543,6 @@ std::string slurp_file(const std::string& path) {
 
 int cmd_compress(const Args& args) {
   const TestSet td = load_tests(args.require("in"));
-  const nc::codec::CodecImpl impl = parse_codec_impl(args);
   if (args.has("table")) {
     // A tuned genome pins K, the lengths, the split and the fill policy;
     // combining it with the knobs it replaces is a contradiction, and the
@@ -554,8 +552,9 @@ int cmd_compress(const Args& args) {
       usage("--table excludes --k/--freq-directed/--shards/--jobs");
     const nc::tune::TuneGenome genome =
         nc::tune::TuneGenome::from_json(slurp_file(args.require("table")));
+    check_header_k(genome.k, "the --table genome's k");
     const TestSet filled = genome.apply_fill(td);
-    const nc::codec::NineCoded coder = genome.make_coder(impl);
+    const nc::codec::NineCoded coder = genome.make_coder();
     TritVector te;
     const auto stats = coder.analyze(filled.flatten(), &te);
     save_stream(args.require("out"), coder, filled, te, /*sharded=*/false,
@@ -568,11 +567,11 @@ int cmd_compress(const Args& args) {
     return 0;
   }
   const std::size_t k = args.get_count("k", 8);
+  check_header_k(k, "--k");
   const TritVector stream = td.flatten();
   const nc::codec::NineCoded coder =
-      args.has("freq-directed")
-          ? nc::codec::NineCoded::tuned_for(stream, k, impl)
-          : nc::codec::NineCoded(k, impl);
+      args.has("freq-directed") ? nc::codec::NineCoded::tuned_for(stream, k)
+                                : nc::codec::NineCoded(k);
   if (args.has("shards") || args.has("jobs")) {
     // Sharded container: --shards 0 (or absent) means one shard per job.
     nc::codec::ShardedStats sstats;
@@ -603,8 +602,7 @@ int cmd_decompress(const Args& args) {
   // Validate up front: a bad --jobs must exit 2 even when the input turns
   // out to be a plain (unsharded) stream that decodes serially.
   const std::size_t jobs = args.get_count("jobs", 1, std::size_t{0});
-  const LoadedStream s =
-      load_stream(args.require("in"), parse_codec_impl(args));
+  const LoadedStream s = load_stream(args.require("in"));
   if (s.sharded) {
     const TestSet back = nc::codec::decode_sharded(s.coder, s.te, jobs);
     save_tests(args.require("out"), back);
@@ -626,7 +624,6 @@ int cmd_stats(const Args& args) {
   const TritVector stream = td.flatten();
   const std::size_t k_min = args.get_count("k-min", 4);
   const std::size_t k_max = args.get_count("k-max", 32);
-  const nc::codec::CodecImpl impl = parse_codec_impl(args);
   nc::report::Table table("9C sweep of " + args.get("in") + " (" +
                           std::to_string(stream.size()) + " bits, " +
                           std::to_string(100.0 * stream.x_fraction()) +
@@ -634,7 +631,7 @@ int cmd_stats(const Args& args) {
   table.set_header({"K", "CR%", "LX%", "|TE|"});
   for (std::size_t k = k_min; k <= k_max; k += 4) {
     if (k % 2 != 0) continue;
-    const auto stats = nc::codec::NineCoded(k, impl).analyze(stream);
+    const auto stats = nc::codec::NineCoded(k).analyze(stream);
     table.row()
         .add(k)
         .add(stats.compression_ratio(), 2)
@@ -811,7 +808,6 @@ int cmd_tune(const Args& args) {
   cfg.jobs = args.get_count("jobs", 1,
                             nc::core::ThreadPool::hardware_threads());
   cfg.weights = parse_weights(args);
-  cfg.impl = parse_codec_impl(args);
   cfg.k_min = args.get_count("k-min", cfg.k_min);
   cfg.k_max = args.get_count("k-max", cfg.k_max);
   cfg.baseline_k = args.get_count("baseline-k", cfg.baseline_k);
@@ -904,7 +900,6 @@ int cmd_session(const Args& args) {
   nc::decomp::SessionConfig cfg;
   cfg.block_size = args.get_count("k", 8);
   cfg.p = static_cast<unsigned>(args.get_count("p", 8));
-  cfg.codec_impl = parse_codec_impl(args);
   cfg.jobs = args.get_count("jobs", 1, std::size_t{0});
   cfg.shards = args.get_count("shards", 0, std::size_t{0});
   if (args.has("inject") || args.has("retry") || args.has("abort-after")) {
@@ -954,7 +949,6 @@ int cmd_fleet(const Args& args) {
   nc::decomp::FleetConfig cfg;
   cfg.block_size = args.get_count("k", 8);
   cfg.p = static_cast<unsigned>(args.get_count("p", 8));
-  cfg.codec_impl = parse_codec_impl(args);
   cfg.retry.max_retries = static_cast<unsigned>(args.get_size("retry", 3));
   if (args.has("abort-after"))
     cfg.retry.abort_after = args.get_count("abort-after", 1);
@@ -1026,7 +1020,6 @@ int cmd_fleet(const Args& args) {
 
 int cmd_serve(const Args& args) {
   nc::serve::ServerConfig cfg;
-  cfg.codec_impl = parse_codec_impl(args);
   cfg.worker_threads =
       args.get_count("workers", cfg.worker_threads, std::size_t{0});
   cfg.queue_capacity = args.get_count("queue", cfg.queue_capacity);
@@ -1350,17 +1343,64 @@ int cmd_loadgen(const Args& args) {
   return stats.clean() && all_resolved ? 0 : 1;
 }
 
+/// A subcommand and every flag it reads; Args rejects any other flag.
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  std::vector<std::string_view> flags;
+};
+
+const std::vector<Command> kCommands = {
+    {"gen", cmd_gen, {"profile", "out", "seed"}},
+    {"circuit", cmd_circuit,
+     {"out", "gates", "inputs", "flops", "outputs", "seed"}},
+    {"atpg", cmd_atpg, {"bench", "out", "no-compact"}},
+    {"roundtrip", cmd_roundtrip,
+     {"bench", "tests", "no-compact", "k", "xcode", "compact-outputs",
+      "seed", "x-density", "jobs", "json"}},
+    {"compress", cmd_compress,
+     {"in", "out", "k", "freq-directed", "table", "shards", "jobs"}},
+    {"decompress", cmd_decompress, {"in", "out", "jobs"}},
+    {"stats", cmd_stats, {"in", "k-min", "k-max"}},
+    {"tune", cmd_tune,
+     {"in", "seed", "generations", "population", "weights", "p", "jobs",
+      "k-min", "k-max", "baseline-k", "no-split", "no-fill", "out", "json",
+      "socket", "repeat", "deadline-ms"}},
+    {"rtl", cmd_rtl,
+     {"out", "k", "freq-directed", "in", "testbench", "module"}},
+    {"session", cmd_session,
+     {"bench", "tests", "k", "p", "jobs", "shards", "inject", "retry",
+      "abort-after"}},
+    {"fleet", cmd_fleet,
+     {"bench", "tests", "devices", "inject", "checkpoint", "resume",
+      "stop-after", "watchdog-steps", "breaker-threshold",
+      "breaker-probe", "batch", "jobs", "retry", "abort-after", "seed", "k",
+      "p"}},
+    {"serve", cmd_serve,
+     {"socket", "workers", "queue", "inflight", "cache-bytes",
+      "duration-ms", "store", "store-segment-bytes", "store-shards",
+      "store-parity", "store-stripe-bytes", "store-scrub-ms",
+      "request-deadline-ms", "write-deadline-ms", "min-progress-bps",
+      "idle-timeout-ms"}},
+    {"loadgen", cmd_loadgen,
+     {"socket", "clients", "requests", "pipeline", "distinct", "patterns",
+      "width", "seed", "fault-period", "inject", "deadline-ms",
+      "request-deadline-ms", "hedge-after-ms", "retry-budget", "chaos",
+      "json", "signatures", "signature-x"}},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) usage();
   const std::string command = argv[1];
+  if (command == "help" || command == "--help") usage();
   if (command == "store") {
     // `store` takes a positional action before the flags.
     if (argc < 3 || std::string(argv[2]).rfind("--", 0) == 0)
       usage("store needs an action: ninec store <fsck|stats|compact|scrub>");
     const std::string action = argv[2];
-    const Args store_args(argc, argv, 3);
+    const Args store_args(argc, argv, 3, {"dir", "scan-only", "min-garbage"});
     try {
       return cmd_store(action, store_args);
     } catch (const std::exception& e) {
@@ -1368,23 +1408,13 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  const Args args(argc, argv, 2);
+  const auto cmd =
+      std::find_if(kCommands.begin(), kCommands.end(),
+                   [&](const Command& c) { return c.name == command; });
+  if (cmd == kCommands.end()) usage("unknown command " + command);
+  const Args args(argc, argv, 2, cmd->flags);
   try {
-    if (command == "gen") return cmd_gen(args);
-    if (command == "circuit") return cmd_circuit(args);
-    if (command == "atpg") return cmd_atpg(args);
-    if (command == "roundtrip") return cmd_roundtrip(args);
-    if (command == "compress") return cmd_compress(args);
-    if (command == "decompress") return cmd_decompress(args);
-    if (command == "stats") return cmd_stats(args);
-    if (command == "tune") return cmd_tune(args);
-    if (command == "rtl") return cmd_rtl(args);
-    if (command == "session") return cmd_session(args);
-    if (command == "fleet") return cmd_fleet(args);
-    if (command == "serve") return cmd_serve(args);
-    if (command == "loadgen") return cmd_loadgen(args);
-    if (command == "help" || command == "--help") usage();
-    usage("unknown command " + command);
+    return cmd->run(args);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;
