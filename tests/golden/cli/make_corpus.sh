@@ -5,17 +5,20 @@
 #
 #   tests/golden/cli/make_corpus.sh <ninec> [OUTDIR]
 #
-# OUTDIR defaults to this directory. check_corpus.sh (ctest cli_golden)
-# writes the corpus again into a scratch directory and compares every file
-# byte for byte with the pinned one. Regenerate only for an intended change
-# of the stream or test-set format, and say so in the change log.
+# OUTDIR defaults to this directory. An s5378.nct1 already in OUTDIR is
+# encoded as it is; delete it to generate the input again. check_corpus.sh
+# (ctest cli_golden) seeds a scratch directory with the pinned input, writes
+# the corpus there and compares every file byte for byte with the pinned
+# one. Regenerate only for an intended change of the stream or test-set
+# format, and say so in the change log.
 set -eu
 
 NINEC="$1"
 HERE=$(cd "$(dirname "$0")" && pwd)
 OUT="${2:-$HERE}"
 
-"$NINEC" gen --profile s5378 --seed 1 --out "$OUT/s5378.nct1" >/dev/null
+[ -f "$OUT/s5378.nct1" ] ||
+  "$NINEC" gen --profile s5378 --seed 1 --out "$OUT/s5378.nct1" >/dev/null
 
 # NC9C at K=8 with the paper's table and with the frequency-directed one,
 # NC9S (sharded container), and NC9T (tuned genome: odd K, uneven split).
