@@ -4,11 +4,12 @@
 // multi-Mbit industrial sweeps of Table VIII. Unless the caller passes its
 // own --benchmark_out, results are also written to BENCH_throughput.json.
 //
-// After the benchmarks run, main() measures the single-thread encode
-// throughput of the production coder and of the per-trit reference
+// After the benchmarks run, main() measures the single-thread encode and
+// decode throughput of the production coder and of the per-trit reference
 // (tests/reference) directly and EXITS NONZERO if
-//   * production is less than 5x the reference at the gate K, or
-//   * the two disagree on any gate stream (byte compare).
+//   * production encode is less than 5x the reference at K=64,
+//   * production decode is slower than the reference at K=32, or
+//   * the two disagree on any gate stream or decoded output (byte compare).
 // CI runs this binary, so a change that quietly de-vectorizes the hot path
 // -- or breaks its bit-exactness -- fails the build, not just a dashboard.
 #include <benchmark/benchmark.h>
@@ -107,15 +108,17 @@ BENCHMARK(BM_GolombEncode);
 
 // ------------------------------------------------------- perf + bit gate
 
-/// Wall-clock MB/s of single-thread encode, measured over ~0.4 s.
-double encode_mb_per_s(const Codec& coder, const TritVector& td) {
+/// Wall-clock MB of TD per second of single-thread `run()` (one encode or
+/// one decode of `td`), measured over ~0.4 s.
+template <typename Run>
+double mb_per_s(const TritVector& td, Run run) {
   using clock = std::chrono::steady_clock;
   // Warm up caches and the allocator once before timing.
-  benchmark::DoNotOptimize(coder.encode(td));
+  run();
   const auto t0 = clock::now();
   std::size_t iters = 0;
   while (clock::now() - t0 < std::chrono::milliseconds(400)) {
-    benchmark::DoNotOptimize(coder.encode(td));
+    run();
     ++iters;
   }
   const double secs =
@@ -125,42 +128,83 @@ double encode_mb_per_s(const Codec& coder, const TritVector& td) {
   return bytes / secs / 1e6;
 }
 
-/// The ship gate. Byte-identity is checked at every K the encoder benches;
-/// the throughput ratio is gated at kGateK, the block size that amortizes
-/// the per-block codeword bookkeeping enough to expose the word-parallel
-/// payload path (at tiny K both coders are dominated by per-block control:
-/// K=32 measures ~5x on an idle machine, K=64 holds 7-9x even under load,
-/// so the 5x bar at K=64 has real headroom against CI noise).
+/// Prints one timed bar; false when production is under it.
+bool meets_bar(const char* what, std::size_t k, double reference_mbs,
+               double production_mbs, double required) {
+  const double speedup = production_mbs / reference_mbs;
+  std::printf(
+      "codec gate %s (K=%zu): reference %.1f MB/s, production %.1f MB/s, "
+      "speedup %.2fx (required >= %.1fx)\n",
+      what, k, reference_mbs, production_mbs, speedup, required);
+  if (speedup >= required) return true;
+  std::fprintf(stderr,
+               "GATE FAIL: production/reference %s speedup %.2fx < %.1fx\n",
+               what, speedup, required);
+  return false;
+}
+
+/// The ship gate. Byte-identity of TE and of the decoded output is checked
+/// at every K the encoder benches. Encode throughput is gated at
+/// kEncodeGateK, the block size that amortizes the per-block codeword
+/// bookkeeping enough to expose the word-parallel payload path (at tiny K
+/// both coders are dominated by per-block control: K=32 measures ~5x on an
+/// idle machine, K=64 holds 7-9x even under load, so the 5x bar at K=64 has
+/// real headroom against CI noise). Decode is gated at kDecodeGateK, where
+/// the codeword lookup and the word-parallel payload copy put production
+/// ahead; at K=8 the two decoders run near parity and the reference alone
+/// swings by a third between runs on a shared host, so it is not gated.
 int run_codec_gate() {
-  constexpr std::size_t kGateK = 64;
-  constexpr double kRequiredSpeedup = 5.0;
+  constexpr std::size_t kEncodeGateK = 64;
+  constexpr double kRequiredEncodeSpeedup = 5.0;
+  constexpr std::size_t kDecodeGateK = 32;
+  constexpr double kRequiredDecodeSpeedup = 1.0;
   const auto& td = sample_td();
 
   for (std::size_t k : {4u, 8u, 16u, 32u, 62u, 64u, 66u}) {
     const NineCoded coder(k);
-    if (!(ReferenceCodec(coder).encode(td) == coder.encode(td))) {
+    const ReferenceCodec reference(coder);
+    const TritVector te = coder.encode(td);
+    if (!(reference.encode(td) == te)) {
       std::fprintf(stderr,
                    "GATE FAIL: reference and production TE differ at K=%zu\n",
                    k);
       return 1;
     }
+    const auto want = reference.decode_checked(te, td.size());
+    const auto got = coder.decode_checked(te, td.size());
+    if (!(got.data == want.data) || got.blocks != want.blocks ||
+        got.consumed != want.consumed) {
+      std::fprintf(
+          stderr,
+          "GATE FAIL: reference and production decode differ at K=%zu\n", k);
+      return 1;
+    }
   }
+  std::printf("codec gate: TE and decoded output byte-identical at every K\n");
 
-  const NineCoded coder(kGateK);
-  const double reference_mbs = encode_mb_per_s(ReferenceCodec(coder), td);
-  const double production_mbs = encode_mb_per_s(coder, td);
-  const double speedup = production_mbs / reference_mbs;
-  std::printf(
-      "codec gate (K=%zu): reference %.1f MB/s, production %.1f MB/s, "
-      "speedup %.2fx (required >= %.1fx), streams byte-identical\n",
-      kGateK, reference_mbs, production_mbs, speedup, kRequiredSpeedup);
-  if (speedup < kRequiredSpeedup) {
-    std::fprintf(stderr,
-                 "GATE FAIL: production/reference speedup %.2fx < %.1fx\n",
-                 speedup, kRequiredSpeedup);
-    return 1;
-  }
-  return 0;
+  const NineCoded encoder(kEncodeGateK);
+  const ReferenceCodec encoder_reference(encoder);
+  const bool encode_ok = meets_bar(
+      "encode", kEncodeGateK,
+      mb_per_s(td, [&] {
+        benchmark::DoNotOptimize(encoder_reference.encode(td));
+      }),
+      mb_per_s(td, [&] { benchmark::DoNotOptimize(encoder.encode(td)); }),
+      kRequiredEncodeSpeedup);
+
+  const NineCoded decoder(kDecodeGateK);
+  const ReferenceCodec decoder_reference(decoder);
+  const TritVector te = decoder.encode(td);
+  const bool decode_ok = meets_bar(
+      "decode", kDecodeGateK,
+      mb_per_s(td, [&] {
+        benchmark::DoNotOptimize(decoder_reference.decode(te, td.size()));
+      }),
+      mb_per_s(td, [&] {
+        benchmark::DoNotOptimize(decoder.decode(te, td.size()));
+      }),
+      kRequiredDecodeSpeedup);
+  return encode_ok && decode_ok ? 0 : 1;
 }
 
 }  // namespace

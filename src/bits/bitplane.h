@@ -197,6 +197,19 @@ class BitplaneReader {
     return p_->value_bit(i);
   }
 
+  /// The next `n` (<= 64, <= remaining()) symbols as plane words, bit j
+  /// being symbol position()+j; consumes nothing. The decoder's codeword
+  /// lookup reads its window here.
+  std::uint64_t peek_values(std::size_t n) const noexcept {
+    return p_->value_bits(pos_, n);
+  }
+  std::uint64_t peek_xs(std::size_t n) const noexcept {
+    return p_->x_bits(pos_, n);
+  }
+
+  /// Consumes `n` (<= remaining()) symbols already inspected with peek_*.
+  void skip(std::size_t n) noexcept { pos_ += n; }
+
   /// Consumes `n` symbols (X allowed) by appending them to `out` -- the
   /// decoder's word-parallel payload copy.
   void copy_to(Bitplanes& out, std::size_t n) {

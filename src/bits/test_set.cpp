@@ -117,12 +117,15 @@ TritVector TestSet::flatten_sliced(std::size_t chains) const {
   return out;
 }
 
-TestSet TestSet::unflatten(const TritVector& stream, std::size_t pattern_count,
+TestSet TestSet::unflatten(TritVector stream, std::size_t pattern_count,
                            std::size_t pattern_length) {
   if (stream.size() != pattern_count * pattern_length)
     throw std::invalid_argument("unflatten: size mismatch");
-  TestSet ts(pattern_count, pattern_length);
-  ts.data_ = stream;
+  checked_bit_count(pattern_count, pattern_length);  // a wrapped product
+  TestSet ts;
+  ts.width_ = pattern_length;
+  ts.rows_ = pattern_count;
+  ts.data_ = std::move(stream);
   return ts;
 }
 

@@ -99,8 +99,10 @@ class TestSet {
   /// pattern width (when `chains` does not divide the width) pad as X.
   TritVector flatten_sliced(std::size_t chains) const;
 
-  /// Inverse of `flatten`: reshapes a stream into `pattern_count` rows.
-  static TestSet unflatten(const TritVector& stream, std::size_t pattern_count,
+  /// Inverse of `flatten`: reshapes a stream into `pattern_count` rows,
+  /// taking over its storage (pass an rvalue to avoid the copy). Throws
+  /// std::invalid_argument when the sizes differ or the geometry overflows.
+  static TestSet unflatten(TritVector stream, std::size_t pattern_count,
                            std::size_t pattern_length);
 
   bool operator==(const TestSet& other) const noexcept {

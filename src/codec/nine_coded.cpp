@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 #include <stdexcept>
 
 #include "bits/bitplane.h"
@@ -13,6 +14,18 @@ using bits::Bitplanes;
 using bits::BitplaneReader;
 using bits::Trit;
 using bits::TritVector;
+
+namespace {
+
+/// A codeword's bits in stream order: the first transmitted bit lowest.
+std::uint64_t stream_bits(const Codeword& w) noexcept {
+  std::uint64_t bits = 0;
+  for (unsigned j = 0; j < w.length; ++j)
+    bits |= ((w.bits >> (w.length - 1 - j)) & 1ull) << j;
+  return bits;
+}
+
+}  // namespace
 
 std::size_t NineCodedStats::blocks() const noexcept {
   std::size_t n = 0;
@@ -76,8 +89,7 @@ NineCodedStats NineCoded::analyze(const TritVector& td,
   std::array<StreamWord, kNumClasses> codewords;
   for (std::size_t c = 0; c < kNumClasses; ++c) {
     const Codeword& w = table_.at(static_cast<BlockClass>(c));
-    for (unsigned j = 0; j < w.length; ++j)
-      codewords[c].bits |= ((w.bits >> (w.length - 1 - j)) & 1ull) << j;
+    codewords[c].bits = stream_bits(w);
     codewords[c].length = w.length;
   }
 
@@ -123,6 +135,52 @@ NineCodedStats NineCoded::analyze(const TritVector& td,
 
 // ----------------------------------------------------------------- decode
 
+namespace {
+
+/// One-probe codeword resolution: entry i names the codeword whose stream
+/// bits (first transmitted bit lowest) are a prefix of i, where i is the
+/// window of the next max_length() TE value bits. Tables with a codeword
+/// longer than kMaxBits are left to the per-bit matcher.
+class CodewordLookup {
+ public:
+  static constexpr unsigned kMaxBits = 8;
+
+  explicit CodewordLookup(const CodewordTable& table)
+      : window_(table.max_length()) {
+    if (window_ > kMaxBits) return;
+    for (std::size_t c = 0; c < kNumClasses; ++c) {
+      const Codeword& w = table.at(static_cast<BlockClass>(c));
+      const std::uint64_t stream = stream_bits(w);
+      for (unsigned rest = 0; rest < (1u << (window_ - w.length)); ++rest)
+        entries_[stream | rest << w.length] = {
+            static_cast<std::uint8_t>(c), static_cast<std::uint8_t>(w.length)};
+    }
+  }
+
+  /// Resolves and consumes the codeword at the cursor when the whole window
+  /// lies inside TE, some codeword matches it, and that codeword's bits hold
+  /// no X. Otherwise consumes nothing and returns nothing, and the per-bit
+  /// matcher decides -- it raises the typed error for a truncated stream, an
+  /// X in a codeword or an unmatched window (Kraft slack).
+  std::optional<BlockClass> match(bits::BitplaneReader& reader) const {
+    if (window_ > kMaxBits || reader.remaining() < window_) return {};
+    const Entry e = entries_[reader.peek_values(window_)];
+    if (e.length == 0 || reader.peek_xs(e.length) != 0) return {};
+    reader.skip(e.length);
+    return static_cast<BlockClass>(e.cls);
+  }
+
+ private:
+  struct Entry {
+    std::uint8_t cls = 0;
+    std::uint8_t length = 0;  // 0: no codeword matches this window
+  };
+  unsigned window_;
+  std::array<Entry, 1u << kMaxBits> entries_{};
+};
+
+}  // namespace
+
 TritVector NineCoded::decode(const TritVector& te,
                              std::size_t original_bits) const {
   return decode_checked(te, original_bits).data;
@@ -138,6 +196,7 @@ DecodeOutcome NineCoded::decode_checked(const TritVector& te,
   DecodeOutcome outcome;
   const Bitplanes in(te);
   BitplaneReader reader(in);
+  const CodewordLookup lookup(table_);
   Bitplanes out;
   // Reservation is only a hint and must not trust `original_bits`: a
   // corrupted length header has to surface as the typed truncation error
@@ -145,15 +204,17 @@ DecodeOutcome NineCoded::decode_checked(const TritVector& te,
   // least one TE symbol, so te.size()+1 blocks bounds any real decode.
   out.reserve(std::min(expected_blocks, te.size() + 1) * k_);
   // Same loop skeleton, watchdog schedule and exception mapping as the
-  // per-trit reference decoder -- only the fill/copy data paths differ
-  // (word-parallel append_run/copy_to instead of per-trit appends).
+  // per-trit reference decoder -- only the codeword lookup and the fill/copy
+  // data paths differ (word-parallel append_run/copy_to instead of per-trit
+  // appends).
   for (std::size_t block = 0; block < expected_blocks; ++block) {
     if (watchdog != nullptr &&
         watchdog->tick(k_ + 5) != core::WatchdogTrip::kNone)
       throw DecodeError(DecodeFault::kWatchdogExpired, reader.position(),
                         block);
     try {
-      const BlockClass cls = table_.match(reader);
+      const std::optional<BlockClass> hit = lookup.match(reader);
+      const BlockClass cls = hit ? *hit : table_.match(reader);
       switch (cls) {
         case BlockClass::kC1:
         case BlockClass::kC2:

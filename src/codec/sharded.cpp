@@ -231,7 +231,7 @@ TestSet decode_sharded(const Codec& codec, const TritVector& container,
 
   TritVector stream;
   for (const TritVector& d : decoded) stream.append(d);
-  return TestSet::unflatten(stream, header.pattern_count,
+  return TestSet::unflatten(std::move(stream), header.pattern_count,
                             header.pattern_width);
 }
 

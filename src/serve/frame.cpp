@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <sstream>
+#include <span>
 #include <stdexcept>
 
 #include "bits/serialize.h"
@@ -37,65 +37,50 @@ void put_le64(std::vector<std::uint8_t>& out, std::uint64_t v) {
     out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
 }
 
-/// Payloads reuse the stream formats of bits/serialize.h; these two bridge
-/// between byte vectors and the iostream interfaces.
-std::vector<std::uint8_t> to_bytes(const std::ostringstream& out) {
-  const std::string s = out.str();
-  return std::vector<std::uint8_t>(s.begin(), s.end());
-}
-
-class PayloadStream {
+/// Bounded cursor over one payload. A fixed field past the end throws
+/// "payload truncated"; the embedded bits/serialize.h streams are parsed in
+/// place, with that format's own errors.
+class PayloadReader {
  public:
-  explicit PayloadStream(const std::vector<std::uint8_t>& payload)
-      : in_(std::string(payload.begin(), payload.end())) {}
+  explicit PayloadReader(const std::vector<std::uint8_t>& payload)
+      : rest_(payload) {}
 
-  std::istream& stream() { return in_; }
-
-  std::uint32_t u32() {
-    std::array<char, 4> buf;
-    in_.read(buf.data(), buf.size());
-    if (!in_) throw std::runtime_error("payload truncated");
-    return read_le32(reinterpret_cast<const std::uint8_t*>(buf.data()));
-  }
-  std::uint64_t u64() {
-    std::array<char, 8> buf;
-    in_.read(buf.data(), buf.size());
-    if (!in_) throw std::runtime_error("payload truncated");
-    return read_le64(reinterpret_cast<const std::uint8_t*>(buf.data()));
-  }
-  std::uint8_t u8() {
-    const int c = in_.get();
-    if (c == EOF) throw std::runtime_error("payload truncated");
-    return static_cast<std::uint8_t>(c);
-  }
+  std::uint8_t u8() { return take(1)[0]; }
+  std::uint32_t u32() { return read_le32(take(4).data()); }
+  std::uint64_t u64() { return read_le64(take(8).data()); }
   std::string rest() {
-    std::ostringstream out;
-    out << in_.rdbuf();
-    return out.str();
+    std::string s(rest_.begin(), rest_.end());
+    rest_ = {};
+    return s;
   }
-  void expect_end() {
-    if (in_.peek() != EOF)
-      throw std::runtime_error("payload has trailing bytes");
+  bits::TritVector trits() { return bits::read_trits(rest_); }
+  bits::TestSet test_set() { return bits::read_test_set(rest_); }
+  void expect_end() const {
+    if (!rest_.empty()) throw std::runtime_error("payload has trailing bytes");
   }
 
  private:
-  std::istringstream in_;
+  std::span<const std::uint8_t> take(std::size_t n) {
+    if (rest_.size() < n) throw std::runtime_error("payload truncated");
+    const auto field = rest_.first(n);
+    rest_ = rest_.subspan(n);
+    return field;
+  }
+
+  std::span<const std::uint8_t> rest_;
 };
 
-CodecSpec read_spec(PayloadStream& in) {
+CodecSpec read_spec(PayloadReader& in) {
   CodecSpec spec;
   spec.k = in.u32();
   for (auto& len : spec.lengths) len = in.u8();
   return spec;
 }
 
-void write_spec(std::ostringstream& out, const CodecSpec& spec) {
-  std::vector<std::uint8_t> bytes;
-  put_le32(bytes, static_cast<std::uint32_t>(spec.k));
+void write_spec(std::vector<std::uint8_t>& out, const CodecSpec& spec) {
+  put_le32(out, static_cast<std::uint32_t>(spec.k));
   for (const unsigned len : spec.lengths)
-    bytes.push_back(static_cast<std::uint8_t>(len));
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
+    out.push_back(static_cast<std::uint8_t>(len));
 }
 
 }  // namespace
@@ -387,68 +372,65 @@ codec::NineCoded CodecSpec::make_coder() const {
 }
 
 std::vector<std::uint8_t> to_payload(const EncodeRequest& req) {
-  std::ostringstream out;
+  std::vector<std::uint8_t> out;
   write_spec(out, req.spec);
-  bits::save_test_set(out, req.tests);
-  return to_bytes(out);
+  bits::append_test_set(out, req.tests);
+  return out;
 }
 
 EncodeRequest parse_encode_request(const std::vector<std::uint8_t>& payload) {
-  PayloadStream in(payload);
+  PayloadReader in(payload);
   EncodeRequest req;
   req.spec = read_spec(in);
-  req.tests = bits::load_test_set(in.stream());
+  req.tests = in.test_set();
   in.expect_end();
   return req;
 }
 
 std::vector<std::uint8_t> to_payload(const DecodeRequest& req) {
-  std::ostringstream out;
+  std::vector<std::uint8_t> out;
   write_spec(out, req.spec);
-  std::vector<std::uint8_t> geo;
-  put_le64(geo, req.patterns);
-  put_le64(geo, req.width);
-  out.write(reinterpret_cast<const char*>(geo.data()),
-            static_cast<std::streamsize>(geo.size()));
-  bits::save_trits(out, req.te);
-  return to_bytes(out);
+  put_le64(out, req.patterns);
+  put_le64(out, req.width);
+  bits::append_trits(out, req.te);
+  return out;
 }
 
 DecodeRequest parse_decode_request(const std::vector<std::uint8_t>& payload) {
-  PayloadStream in(payload);
+  PayloadReader in(payload);
   DecodeRequest req;
   req.spec = read_spec(in);
   req.patterns = static_cast<std::size_t>(in.u64());
   req.width = static_cast<std::size_t>(in.u64());
-  req.te = bits::load_trits(in.stream());
+  req.te = in.trits();
   in.expect_end();
   return req;
 }
 
 std::vector<std::uint8_t> trits_payload(const bits::TritVector& v) {
-  std::ostringstream out;
-  bits::save_trits(out, v);
-  return to_bytes(out);
+  std::vector<std::uint8_t> out;
+  bits::append_trits(out, v);
+  return out;
 }
 
 bits::TritVector parse_trits_payload(
     const std::vector<std::uint8_t>& payload) {
-  PayloadStream in(payload);
-  bits::TritVector v = bits::load_trits(in.stream());
+  PayloadReader in(payload);
+  bits::TritVector v = in.trits();
   in.expect_end();
   return v;
 }
 
 std::vector<std::uint8_t> test_set_payload(const bits::TestSet& ts) {
-  std::ostringstream out;
-  bits::save_test_set(out, ts);
-  return to_bytes(out);
+  std::vector<std::uint8_t> out;
+  bits::append_test_set(out, ts);
+  return out;
 }
 
 bits::TestSet parse_test_set_payload(
     const std::vector<std::uint8_t>& payload) {
-  PayloadStream in(payload);
-  bits::TestSet ts = bits::load_test_set(in.stream());
+  PayloadReader in(payload);
+  bits::TestSet ts = in.test_set();
   in.expect_end();
   return ts;
 }
@@ -461,7 +443,7 @@ std::vector<std::uint8_t> session_payload(const std::string& name) {
 }
 
 std::string parse_session_payload(const std::vector<std::uint8_t>& payload) {
-  PayloadStream in(payload);
+  PayloadReader in(payload);
   const std::uint32_t len = in.u32();
   std::string name = in.rest();
   if (name.size() != len) throw std::runtime_error("bad session name length");
@@ -476,7 +458,7 @@ std::vector<std::uint8_t> session_grant_payload(const SessionGrant& grant) {
 }
 
 SessionGrant parse_session_grant(const std::vector<std::uint8_t>& payload) {
-  PayloadStream in(payload);
+  PayloadReader in(payload);
   SessionGrant grant;
   grant.client_id = in.u64();
   grant.inflight_cap = in.u32();
@@ -488,23 +470,20 @@ std::vector<std::uint8_t> to_payload(const SignaturePublish& pub) {
   if (pub.expected.size() !=
       static_cast<std::uint64_t>(pub.outputs_per_cycle) * pub.cycles)
     throw std::invalid_argument("signature publish: geometry mismatch");
-  std::ostringstream out;
-  std::vector<std::uint8_t> head;
-  put_le32(head, pub.outputs_per_cycle);
-  put_le64(head, pub.cycles);
-  out.write(reinterpret_cast<const char*>(head.data()),
-            static_cast<std::streamsize>(head.size()));
-  bits::save_trits(out, pub.expected);
-  return to_bytes(out);
+  std::vector<std::uint8_t> out;
+  put_le32(out, pub.outputs_per_cycle);
+  put_le64(out, pub.cycles);
+  bits::append_trits(out, pub.expected);
+  return out;
 }
 
 SignaturePublish parse_signature_publish(
     const std::vector<std::uint8_t>& payload) {
-  PayloadStream in(payload);
+  PayloadReader in(payload);
   SignaturePublish pub;
   pub.outputs_per_cycle = in.u32();
   pub.cycles = in.u64();
-  pub.expected = bits::load_trits(in.stream());
+  pub.expected = in.trits();
   in.expect_end();
   if (pub.outputs_per_cycle == 0)
     throw std::runtime_error("signature publish: zero outputs per cycle");
@@ -522,7 +501,7 @@ std::vector<std::uint8_t> signature_ref_payload(const SignatureRef& ref) {
 }
 
 SignatureRef parse_signature_ref(const std::vector<std::uint8_t>& payload) {
-  PayloadStream in(payload);
+  PayloadReader in(payload);
   SignatureRef ref;
   ref.lo = in.u64();
   ref.hi = in.u64();
@@ -531,22 +510,19 @@ SignatureRef parse_signature_ref(const std::vector<std::uint8_t>& payload) {
 }
 
 std::vector<std::uint8_t> to_payload(const SignatureCheck& chk) {
-  std::ostringstream out;
-  std::vector<std::uint8_t> head;
-  put_le64(head, chk.ref.lo);
-  put_le64(head, chk.ref.hi);
-  out.write(reinterpret_cast<const char*>(head.data()),
-            static_cast<std::streamsize>(head.size()));
-  bits::save_trits(out, chk.observed);
-  return to_bytes(out);
+  std::vector<std::uint8_t> out;
+  put_le64(out, chk.ref.lo);
+  put_le64(out, chk.ref.hi);
+  bits::append_trits(out, chk.observed);
+  return out;
 }
 
 SignatureCheck parse_signature_check(const std::vector<std::uint8_t>& payload) {
-  PayloadStream in(payload);
+  PayloadReader in(payload);
   SignatureCheck chk;
   chk.ref.lo = in.u64();
   chk.ref.hi = in.u64();
-  chk.observed = bits::load_trits(in.stream());
+  chk.observed = in.trits();
   in.expect_end();
   return chk;
 }
@@ -565,7 +541,7 @@ std::vector<std::uint8_t> check_verdict_payload(
 
 compact::CheckVerdict parse_check_verdict(
     const std::vector<std::uint8_t>& payload) {
-  PayloadStream in(payload);
+  PayloadReader in(payload);
   compact::CheckVerdict v;
   const std::uint8_t pass = in.u8();
   if (pass > 1) throw std::runtime_error("check verdict: bad pass flag");
@@ -580,25 +556,22 @@ compact::CheckVerdict parse_check_verdict(
 }
 
 std::vector<std::uint8_t> to_payload(const TuneRequest& req) {
-  std::ostringstream out;
-  std::vector<std::uint8_t> head;
-  put_le64(head, req.seed);
-  put_le32(head, req.generations);
-  put_le32(head, req.population);
+  std::vector<std::uint8_t> out;
+  put_le64(out, req.seed);
+  put_le32(out, req.generations);
+  put_le32(out, req.population);
   // Exact double bit patterns: this payload is the artifact key, so the
   // serialization must be canonical, not printf-rounded.
-  put_le64(head, std::bit_cast<std::uint64_t>(req.weight_cr));
-  put_le64(head, std::bit_cast<std::uint64_t>(req.weight_tat));
-  put_le64(head, std::bit_cast<std::uint64_t>(req.weight_gates));
-  put_le32(head, req.p);
-  out.write(reinterpret_cast<const char*>(head.data()),
-            static_cast<std::streamsize>(head.size()));
-  bits::save_test_set(out, req.tests);
-  return to_bytes(out);
+  put_le64(out, std::bit_cast<std::uint64_t>(req.weight_cr));
+  put_le64(out, std::bit_cast<std::uint64_t>(req.weight_tat));
+  put_le64(out, std::bit_cast<std::uint64_t>(req.weight_gates));
+  put_le32(out, req.p);
+  bits::append_test_set(out, req.tests);
+  return out;
 }
 
 TuneRequest parse_tune_request(const std::vector<std::uint8_t>& payload) {
-  PayloadStream in(payload);
+  PayloadReader in(payload);
   TuneRequest req;
   req.seed = in.u64();
   req.generations = in.u32();
@@ -607,7 +580,7 @@ TuneRequest parse_tune_request(const std::vector<std::uint8_t>& payload) {
   req.weight_tat = std::bit_cast<double>(in.u64());
   req.weight_gates = std::bit_cast<double>(in.u64());
   req.p = in.u32();
-  req.tests = bits::load_test_set(in.stream());
+  req.tests = in.test_set();
   in.expect_end();
   // Budget validation: a request is a compute grant; cap it.
   if (req.generations == 0 || req.generations > kMaxTuneGenerations)

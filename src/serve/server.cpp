@@ -57,10 +57,10 @@ std::vector<std::uint8_t> decode_artifact(
   // deadline rides along, cancelling an in-flight decode the moment its
   // client stops waiting.
   core::Watchdog watchdog(64 + 8 * (original + dr.te.size()), deadline);
-  const codec::DecodeOutcome outcome =
+  codec::DecodeOutcome outcome =
       coder.decode_checked(dr.te, original, &watchdog);
-  return test_set_payload(
-      bits::TestSet::unflatten(outcome.data, dr.patterns, dr.width));
+  return test_set_payload(bits::TestSet::unflatten(std::move(outcome.data),
+                                                   dr.patterns, dr.width));
 }
 
 std::vector<std::uint8_t> tune_artifact(

@@ -82,6 +82,27 @@ expect_usage_error compress --in "$DIR/td.tests" --out "$DIR/x.9c" --bogus
 expect_usage_error compress --in "$DIR/td.tests" --out "$DIR/x.9c" \
   --codec-impl scalar
 expect_usage_error store stats --dir "$DIR" --bogus
+# Opening a store creates its DIR, so store refuses first: a missing DIR
+# exits 1, a misspelled action exits 2, and neither leaves the path behind.
+expect_exit 1 store stats --dir "$DIR/no-store"
+test ! -e "$DIR/no-store"
+expect_usage_error store bogus --dir "$DIR/no-store"
+test ! -e "$DIR/no-store"
+# The help prints each synopsis from the table the flag parser reads, so it
+# names every flag a command takes -- these seven were once missing.
+"$NINEC" help > "$DIR/help.txt" 2>&1
+help_block() {  # the help lines of subcommand $1
+  awk -v cmd="$1" '/^  [a-z]/ { on = ($1 == cmd) } on' "$DIR/help.txt"
+}
+for pair in circuit:outputs roundtrip:no-compact tune:baseline-k \
+            tune:deadline-ms serve:store-segment-bytes fleet:abort-after \
+            fleet:stop-after; do
+  cmd=${pair%%:*}
+  flag=${pair#*:}
+  if ! help_block "$cmd" | grep -q -- "\[--$flag[] ]"; then
+    echo "ninec help omits $cmd --$flag"; exit 1
+  fi
+done
 # Stream headers store K in one byte: K > 255 is refused before encoding,
 # whether it comes from --k or from a --table genome.
 expect_usage_error compress --in "$DIR/td.tests" --out "$DIR/x.9c" --k 256

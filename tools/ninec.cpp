@@ -28,6 +28,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <functional>
@@ -71,125 +72,8 @@ namespace {
 using nc::bits::TestSet;
 using nc::bits::TritVector;
 
-[[noreturn]] void usage(const std::string& error = "") {
-  if (!error.empty()) std::cerr << "error: " << error << "\n\n";
-  std::cerr <<
-      "usage: ninec <command> [options]\n"
-      "  gen        --profile <s5378|...|CKT1|CKT2> --out FILE [--seed N]\n"
-      "  circuit    --out FILE [--gates N] [--inputs N] [--flops N] [--seed N]\n"
-      "  atpg       --bench FILE --out FILE [--no-compact]\n"
-      "  compress   --in FILE --out FILE [--k N] [--freq-directed]\n"
-      "             [--table tuned.json]  (encode with a tuned genome from\n"
-      "             ninec tune --out; excludes --k/--freq-directed/--shards)\n"
-      "             [--shards N] [--jobs N]  (sharded container, parallel\n"
-      "             encode; --jobs 0 = one per hardware thread)\n"
-      "  decompress --in FILE --out FILE [--jobs N]\n"
-      "  stats      --in FILE [--k-min N] [--k-max N]\n"
-      "  tune       --in FILE [--seed N] [--generations N] [--population N]\n"
-      "             [--weights CR:TAT:GATES] [--p N] [--jobs N]\n"
-      "             [--k-min N] [--k-max N] [--no-split] [--no-fill]\n"
-      "             [--out tuned.json] [--json FILE]\n"
-      "             [--socket PATH [--repeat N]]\n"
-      "             (evolutionary search over coding parameters -- codeword\n"
-      "             lengths, K, half split, X-fill -- scored by real encoder\n"
-      "             CR, TAT cycle accounting and synthesized decoder gates;\n"
-      "             seeded and jobs-invariant: the same --seed is\n"
-      "             bit-reproducible. --weights prices the axes (default\n"
-      "             1:0.25:0.05), --out writes the winning genome for\n"
-      "             compress --table, --json the per-generation trace.\n"
-      "             With --socket the search runs on a ninec serve instance\n"
-      "             as a content-addressed artifact: --repeat resends the\n"
-      "             identical request to demonstrate cache/store hits)\n"
-      "  rtl        --out FILE [--k N] [--freq-directed --in FILE]\n"
-      "             [--testbench FILE] [--module NAME]\n"
-      "  roundtrip  --bench FILE [--tests FILE] [--k N] [--seed N]\n"
-      "             [--xcode identity|steiner|greedy] [--compact-outputs M]\n"
-      "             [--x-density R] [--jobs N] [--json FILE]\n"
-      "             (closed tester loop: TD -> 9C encode -> decode -> scan\n"
-      "             sim -> X-code response compaction -> per-fault verdicts;\n"
-      "             without --tests the cubes come from ATPG. --xcode picks\n"
-      "             the parity matrix (default steiner, t = 2),\n"
-      "             --compact-outputs fixes m (default: smallest feasible),\n"
-      "             --x-density R in [0,1] overlays environment unknowns on\n"
-      "             the responses. Exit 0 iff compaction loses no coverage\n"
-      "             and the code's tolerance self-check holds)\n"
-      "  session    --bench FILE --tests FILE [--k N] [--p N]\n"
-      "             [--jobs N] [--shards N]  (pipelined decode/compare)\n"
-      "             [--inject SPEC] [--retry N] [--abort-after N]\n"
-      "             SPEC: flip=R,burst=R[:LEN],trunc=R,stuck=R,seed=N\n"
-      "             (faulty ATE channel; detected corruptions re-stream the\n"
-      "             pattern up to --retry times, default 3)\n"
-      "  fleet      --bench FILE --tests FILE --devices N [--inject SPECS]\n"
-      "             [--checkpoint FILE] [--resume] [--watchdog-steps N]\n"
-      "             [--breaker-threshold N] [--breaker-probe N] [--batch N]\n"
-      "             [--jobs N] [--retry N] [--seed N] [--k N] [--p N]\n"
-      "             (N devices through per-device faulty channels with\n"
-      "             retry, watchdog, circuit breaker and an NC9J checkpoint\n"
-      "             journal; SPECS may be ';'-separated, assigned to\n"
-      "             devices round-robin)\n"
-      "  serve      --socket PATH [--workers N] [--queue N] [--inflight N]\n"
-      "             [--cache-bytes N] [--duration-ms N] [--store DIR]\n"
-      "             [--store-shards N] [--store-parity N]\n"
-      "             [--store-stripe-bytes N] [--store-scrub-ms N]\n"
-      "             [--request-deadline-ms N] [--write-deadline-ms N]\n"
-      "             [--min-progress-bps N] [--idle-timeout-ms N]\n"
-      "             (frame-protocol compression service on a Unix socket;\n"
-      "             runs until --duration-ms elapses, default forever;\n"
-      "             --request-deadline-ms is the default budget for\n"
-      "             requests that carry none (expired work is shed with a\n"
-      "             typed reply); --write-deadline-ms bounds each reply\n"
-      "             write, --min-progress-bps/--idle-timeout-ms disconnect\n"
-      "             dribbling/idle peers -- the slow-client defense;\n"
-      "             --store adds a persistent artifact tier: cache misses\n"
-      "             check DIR before computing, results are written through,\n"
-      "             and a restart on the same DIR answers warm;\n"
-      "             --store-shards >= 2 makes DIR an erasure-coded multi-\n"
-      "             shard tier that survives --store-parity shard losses,\n"
-      "             striping payloads >= --store-stripe-bytes and scrubbing\n"
-      "             every --store-scrub-ms when > 0)\n"
-      "  store      <fsck|stats|compact|scrub> --dir DIR\n"
-      "             A DIR holding a sharded.nc9x marker is opened as the\n"
-      "             erasure-coded multi-shard tier (fsck/stats/compact\n"
-      "             iterate its shards); otherwise as a single store.\n"
-      "             fsck: full segment scan cross-checked against the\n"
-      "             manifest; repairs by default (recover orphans, drop\n"
-      "             dangling entries, remove stray segments) unless\n"
-      "             --scan-only; exit 0 iff the store is clean\n"
-      "             stats: print store statistics as JSON\n"
-      "             compact: rewrite live records out of garbage segments\n"
-      "             [--min-garbage R, default 0 = any garbage]\n"
-      "             scrub (sharded only): verify every stripe/replica,\n"
-      "             rewrite missing strips onto healthy shards; exit 0 iff\n"
-      "             full redundancy holds afterwards\n"
-      "  loadgen    --socket PATH [--clients N] [--requests N] [--pipeline N]\n"
-      "             [--distinct N] [--patterns N] [--width N] [--seed N]\n"
-      "             [--fault-period N] [--inject SPEC] [--deadline-ms N]\n"
-      "             [--request-deadline-ms N] [--hedge-after-ms N]\n"
-      "             [--retry-budget N] [--chaos RULES] [--json FILE]\n"
-      "             [--signatures N] [--signature-x R]\n"
-      "             (N concurrent clients replay a deterministic workload;\n"
-      "             every reply is checked byte-identical to a serial\n"
-      "             reference; exit 0 only if nothing was lost, duplicated\n"
-      "             or corrupted. --request-deadline-ms stamps an\n"
-      "             end-to-end deadline into each request; --hedge-after-ms\n"
-      "             races a duplicate transmit against a quiet reply;\n"
-      "             --retry-budget caps total retransmits per client;\n"
-      "             --chaos wraps each connection in a deterministic fault\n"
-      "             schedule, e.g. 'write:dribble@4x64,read:stall=40@9,\n"
-      "             any:reset@199' -- op:action[=param][@skip[xcount]],\n"
-      "             op read|write|any, action latency|stall|dribble|\n"
-      "             partial|reset, count '*' = forever;\n"
-      "             --signatures N adds a serial publish of a scan circuit's\n"
-      "             expected X-compacted response stream plus N signature-\n"
-      "             check requests (fault-free and faulty devices) whose\n"
-      "             replies must match the local analyzer byte for byte;\n"
-      "             --signature-x sets the response X-overlay density)\n"
-      "count options (--devices, --shards, --jobs, --batch, --k, --p, ...)\n"
-      "take a positive integer; --shards/--jobs also accept 'auto' (one\n"
-      "shard/worker per hardware thread). Malformed values, unknown flags\n"
-      "and compress --k above 255 exit with code 2.\n";
-  std::exit(error.empty() ? 0 : 2);
-}
+/// Prints the help (to stderr) and exits: 0 without an error, else 2.
+[[noreturn]] void usage(const std::string& error = "");
 
 /// Strict non-negative integer: the whole text must be digits and fit in
 /// size_t. Anything else -- sign, trailing junk, empty, overflow -- is a
@@ -223,17 +107,31 @@ double parse_ratio(const std::string& key, const std::string& text) {
   }
 }
 
-/// Tiny flag parser: --name value pairs plus boolean switches. A flag not
-/// in `flags` (the ones the command reads) is a usage error (exit 2).
+/// True if `synopsis` names the flag --`key` as a whole word.
+bool names_flag(std::string_view synopsis, std::string_view key) {
+  if (key.empty()) return false;
+  const std::string token = "--" + std::string(key);
+  for (std::size_t at = synopsis.find(token); at != std::string_view::npos;
+       at = synopsis.find(token, at + 1)) {
+    const std::size_t end = at + token.size();
+    if (end == synopsis.size() ||
+        std::string_view(" ]\n").find(synopsis[end]) != std::string_view::npos)
+      return true;
+  }
+  return false;
+}
+
+/// Tiny flag parser: --name value pairs plus boolean switches. A flag the
+/// command's synopsis does not name (the flags it reads) is a usage error
+/// (exit 2).
 class Args {
  public:
-  Args(int argc, char** argv, int first,
-       const std::vector<std::string_view>& flags) {
+  Args(int argc, char** argv, int first, std::string_view synopsis) {
     for (int i = first; i < argc; ++i) {
       std::string key = argv[i];
       if (key.rfind("--", 0) != 0) usage("unexpected argument: " + key);
       key = key.substr(2);
-      if (std::find(flags.begin(), flags.end(), key) == flags.end())
+      if (!names_flag(synopsis, key))
         usage("unknown flag --" + key + " for " + argv[first - 1]);
       if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0)
         values_[key] = argv[++i];
@@ -611,9 +509,9 @@ int cmd_decompress(const Args& args) {
               << args.get("out") << '\n';
     return 0;
   }
-  const TritVector decoded = s.coder.decode(s.te, s.patterns * s.width);
+  TritVector decoded = s.coder.decode(s.te, s.patterns * s.width);
   save_tests(args.require("out"),
-             TestSet::unflatten(decoded, s.patterns, s.width));
+             TestSet::unflatten(std::move(decoded), s.patterns, s.width));
   std::cout << "decoded " << s.patterns << " x " << s.width
             << " patterns -> " << args.get("out") << '\n';
   return 0;
@@ -1218,7 +1116,16 @@ int cmd_store_sharded(const std::string& action, const Args& args,
 }
 
 int cmd_store(const std::string& action, const Args& args) {
+  // Opening a store creates its directory and manifest, so everything that
+  // can be refused is refused first: a misspelled action, a missing DIR.
+  // An existing DIR without a manifest still opens -- fsck rebuilds a lost
+  // manifest from the orphan segments.
+  if (action != "fsck" && action != "stats" && action != "compact" &&
+      action != "scrub")
+    usage("unknown store action '" + action + "' (fsck|stats|compact|scrub)");
   const std::string dir = args.require("dir");
+  if (!std::filesystem::is_directory(dir))
+    throw std::runtime_error("no store directory " + dir);
   if (nc::store::ShardedStore::is_sharded_dir(dir))
     return cmd_store_sharded(action, args, dir);
   if (action == "scrub")
@@ -1343,51 +1250,181 @@ int cmd_loadgen(const Args& args) {
   return stats.clean() && all_resolved ? 0 : 1;
 }
 
-/// A subcommand and every flag it reads; Args rejects any other flag.
+/// A subcommand. Its synopsis names every flag it reads: Args accepts those
+/// and no other, and the help prints the synopsis, so the two cannot drift.
+/// A '\n' in the synopsis or the notes (prose printed under it) breaks the
+/// help line. `store` takes a positional action and has no `run`.
 struct Command {
   std::string_view name;
   int (*run)(const Args&);
-  std::vector<std::string_view> flags;
+  std::string_view synopsis;
+  std::string_view notes = {};
 };
 
 const std::vector<Command> kCommands = {
-    {"gen", cmd_gen, {"profile", "out", "seed"}},
+    {"gen", cmd_gen, "--profile <s5378|...|CKT1|CKT2> --out FILE [--seed N]"},
     {"circuit", cmd_circuit,
-     {"out", "gates", "inputs", "flops", "outputs", "seed"}},
-    {"atpg", cmd_atpg, {"bench", "out", "no-compact"}},
-    {"roundtrip", cmd_roundtrip,
-     {"bench", "tests", "no-compact", "k", "xcode", "compact-outputs",
-      "seed", "x-density", "jobs", "json"}},
+     "--out FILE [--gates N] [--inputs N] [--flops N] [--outputs N]\n"
+     "[--seed N]"},
+    {"atpg", cmd_atpg, "--bench FILE --out FILE [--no-compact]"},
     {"compress", cmd_compress,
-     {"in", "out", "k", "freq-directed", "table", "shards", "jobs"}},
-    {"decompress", cmd_decompress, {"in", "out", "jobs"}},
-    {"stats", cmd_stats, {"in", "k-min", "k-max"}},
+     "--in FILE --out FILE [--k N] [--freq-directed]\n"
+     "[--table tuned.json] [--shards N] [--jobs N]",
+     "(--table encodes with a tuned genome from ninec tune --out\n"
+     "and excludes --k/--freq-directed/--shards/--jobs; --shards\n"
+     "writes a sharded container, encoded in parallel on --jobs\n"
+     "workers, auto = one per hardware thread)"},
+    {"decompress", cmd_decompress, "--in FILE --out FILE [--jobs N]"},
+    {"stats", cmd_stats, "--in FILE [--k-min N] [--k-max N]"},
     {"tune", cmd_tune,
-     {"in", "seed", "generations", "population", "weights", "p", "jobs",
-      "k-min", "k-max", "baseline-k", "no-split", "no-fill", "out", "json",
-      "socket", "repeat", "deadline-ms"}},
+     "--in FILE [--seed N] [--generations N] [--population N]\n"
+     "[--weights CR:TAT:GATES] [--p N] [--jobs N]\n"
+     "[--k-min N] [--k-max N] [--baseline-k N] [--no-split]\n"
+     "[--no-fill] [--out tuned.json] [--json FILE]\n"
+     "[--socket PATH [--repeat N] [--deadline-ms N]]",
+     "(evolutionary search over coding parameters -- codeword\n"
+     "lengths, K, half split, X-fill -- scored by real encoder\n"
+     "CR, TAT cycle accounting and synthesized decoder gates;\n"
+     "seeded and jobs-invariant: the same --seed is\n"
+     "bit-reproducible. --weights prices the axes (default\n"
+     "1:0.25:0.05), --baseline-k is the K of the standard and\n"
+     "frequency-directed seed genomes (default 8), --out writes\n"
+     "the winning genome for compress --table, --json the\n"
+     "per-generation trace. With --socket the search runs on a\n"
+     "ninec serve instance as a content-addressed artifact:\n"
+     "--repeat resends the identical request to demonstrate\n"
+     "cache/store hits, --deadline-ms bounds the whole call\n"
+     "(default 300000))"},
     {"rtl", cmd_rtl,
-     {"out", "k", "freq-directed", "in", "testbench", "module"}},
+     "--out FILE [--k N] [--freq-directed --in FILE]\n"
+     "[--testbench FILE] [--module NAME]"},
+    {"roundtrip", cmd_roundtrip,
+     "--bench FILE [--tests FILE] [--no-compact] [--k N] [--seed N]\n"
+     "[--xcode identity|steiner|greedy] [--compact-outputs M]\n"
+     "[--x-density R] [--jobs N] [--json FILE]",
+     "(closed tester loop: TD -> 9C encode -> decode -> scan\n"
+     "sim -> X-code response compaction -> per-fault verdicts;\n"
+     "without --tests the cubes come from ATPG, uncompacted with\n"
+     "--no-compact. --xcode picks the parity matrix (default\n"
+     "steiner, t = 2), --compact-outputs fixes m (default:\n"
+     "smallest feasible), --x-density R in [0,1] overlays\n"
+     "environment unknowns on the responses. Exit 0 iff\n"
+     "compaction loses no coverage and the code's tolerance\n"
+     "self-check holds)"},
     {"session", cmd_session,
-     {"bench", "tests", "k", "p", "jobs", "shards", "inject", "retry",
-      "abort-after"}},
+     "--bench FILE --tests FILE [--k N] [--p N]\n"
+     "[--jobs N] [--shards N]\n"
+     "[--inject SPEC] [--retry N] [--abort-after N]",
+     "(pipelined decode/compare)\n"
+     "SPEC: flip=R,burst=R[:LEN],trunc=R,stuck=R,seed=N\n"
+     "(faulty ATE channel; detected corruptions re-stream the\n"
+     "pattern up to --retry times, default 3; --abort-after N\n"
+     "ends the session once N patterns exhaust their retries)"},
     {"fleet", cmd_fleet,
-     {"bench", "tests", "devices", "inject", "checkpoint", "resume",
-      "stop-after", "watchdog-steps", "breaker-threshold",
-      "breaker-probe", "batch", "jobs", "retry", "abort-after", "seed", "k",
-      "p"}},
+     "--bench FILE --tests FILE --devices N [--inject SPECS]\n"
+     "[--checkpoint FILE] [--resume] [--stop-after N]\n"
+     "[--watchdog-steps N] [--breaker-threshold N] [--breaker-probe N]\n"
+     "[--batch N] [--jobs N] [--retry N] [--abort-after N] [--seed N]\n"
+     "[--k N] [--p N]",
+     "(N devices through per-device faulty channels with\n"
+     "retry, watchdog, circuit breaker and an NC9J checkpoint\n"
+     "journal; SPECS may be ';'-separated, assigned to\n"
+     "devices round-robin; --stop-after N checkpoints and stops\n"
+     "after N batches, as a kill would; --abort-after as for\n"
+     "session)"},
     {"serve", cmd_serve,
-     {"socket", "workers", "queue", "inflight", "cache-bytes",
-      "duration-ms", "store", "store-segment-bytes", "store-shards",
-      "store-parity", "store-stripe-bytes", "store-scrub-ms",
-      "request-deadline-ms", "write-deadline-ms", "min-progress-bps",
-      "idle-timeout-ms"}},
+     "--socket PATH [--workers N] [--queue N] [--inflight N]\n"
+     "[--cache-bytes N] [--duration-ms N] [--store DIR]\n"
+     "[--store-segment-bytes N] [--store-shards N] [--store-parity N]\n"
+     "[--store-stripe-bytes N] [--store-scrub-ms N]\n"
+     "[--request-deadline-ms N] [--write-deadline-ms N]\n"
+     "[--min-progress-bps N] [--idle-timeout-ms N]",
+     "(frame-protocol compression service on a Unix socket;\n"
+     "runs until --duration-ms elapses, default forever;\n"
+     "--request-deadline-ms is the default budget for\n"
+     "requests that carry none (expired work is shed with a\n"
+     "typed reply); --write-deadline-ms bounds each reply\n"
+     "write, --min-progress-bps/--idle-timeout-ms disconnect\n"
+     "dribbling/idle peers -- the slow-client defense;\n"
+     "--store adds a persistent artifact tier: cache misses\n"
+     "check DIR before computing, results are written through,\n"
+     "and a restart on the same DIR answers warm;\n"
+     "--store-segment-bytes sizes its log segments;\n"
+     "--store-shards >= 2 makes DIR an erasure-coded multi-\n"
+     "shard tier that survives --store-parity shard losses,\n"
+     "striping payloads >= --store-stripe-bytes and scrubbing\n"
+     "every --store-scrub-ms when > 0)"},
+    {"store", nullptr,
+     "<fsck|stats|compact|scrub> --dir DIR [--scan-only]\n"
+     "[--min-garbage R]",
+     "DIR must exist. A DIR holding a sharded.nc9x marker is\n"
+     "opened as the erasure-coded multi-shard tier (fsck/stats/\n"
+     "compact iterate its shards); otherwise as a single store.\n"
+     "fsck: full segment scan cross-checked against the\n"
+     "manifest; repairs by default (recover orphans, drop\n"
+     "dangling entries, remove stray segments) unless\n"
+     "--scan-only; exit 0 iff the store is clean\n"
+     "stats: print store statistics as JSON\n"
+     "compact: rewrite live records out of garbage segments\n"
+     "[--min-garbage R, default 0 = any garbage]\n"
+     "scrub (sharded only): verify every stripe/replica,\n"
+     "rewrite missing strips onto healthy shards; exit 0 iff\n"
+     "full redundancy holds afterwards"},
     {"loadgen", cmd_loadgen,
-     {"socket", "clients", "requests", "pipeline", "distinct", "patterns",
-      "width", "seed", "fault-period", "inject", "deadline-ms",
-      "request-deadline-ms", "hedge-after-ms", "retry-budget", "chaos",
-      "json", "signatures", "signature-x"}},
+     "--socket PATH [--clients N] [--requests N] [--pipeline N]\n"
+     "[--distinct N] [--patterns N] [--width N] [--seed N]\n"
+     "[--fault-period N] [--inject SPEC] [--deadline-ms N]\n"
+     "[--request-deadline-ms N] [--hedge-after-ms N]\n"
+     "[--retry-budget N] [--chaos RULES] [--json FILE]\n"
+     "[--signatures N] [--signature-x R]",
+     "(N concurrent clients replay a deterministic workload;\n"
+     "every reply is checked byte-identical to a serial\n"
+     "reference; exit 0 only if nothing was lost, duplicated\n"
+     "or corrupted. --request-deadline-ms stamps an\n"
+     "end-to-end deadline into each request; --hedge-after-ms\n"
+     "races a duplicate transmit against a quiet reply;\n"
+     "--retry-budget caps total retransmits per client;\n"
+     "--chaos wraps each connection in a deterministic fault\n"
+     "schedule, e.g. 'write:dribble@4x64,read:stall=40@9,\n"
+     "any:reset@199' -- op:action[=param][@skip[xcount]],\n"
+     "op read|write|any, action latency|stall|dribble|\n"
+     "partial|reset, count '*' = forever;\n"
+     "--signatures N adds a serial publish of a scan circuit's\n"
+     "expected X-compacted response stream plus N signature-\n"
+     "check requests (fault-free and faulty devices) whose\n"
+     "replies must match the local analyzer byte for byte;\n"
+     "--signature-x sets the response X-overlay density)"},
 };
+
+/// Writes `text` with every line after the first indented to the synopsis
+/// column.
+void print_indented(std::string_view text) {
+  for (const char c : text) {
+    std::cerr << c;
+    if (c == '\n') std::cerr << "             ";
+  }
+  std::cerr << '\n';
+}
+
+[[noreturn]] void usage(const std::string& error) {
+  if (!error.empty()) std::cerr << "error: " << error << "\n\n";
+  std::cerr << "usage: ninec <command> [options]\n";
+  for (const Command& c : kCommands) {
+    std::cerr << "  " << c.name
+              << std::string(c.name.size() < 11 ? 11 - c.name.size() : 1, ' ');
+    print_indented(c.synopsis);
+    if (!c.notes.empty()) {
+      std::cerr << "             ";
+      print_indented(c.notes);
+    }
+  }
+  std::cerr <<
+      "count options (--devices, --shards, --jobs, --batch, --k, --p, ...)\n"
+      "take a positive integer; --shards/--jobs also accept 'auto' (one\n"
+      "shard/worker per hardware thread). Malformed values, unknown flags\n"
+      "and compress --k above 255 exit with code 2.\n";
+  std::exit(error.empty() ? 0 : 2);
+}
 
 }  // namespace
 
@@ -1395,12 +1432,16 @@ int main(int argc, char** argv) {
   if (argc < 2) usage();
   const std::string command = argv[1];
   if (command == "help" || command == "--help") usage();
-  if (command == "store") {
+  const auto cmd =
+      std::find_if(kCommands.begin(), kCommands.end(),
+                   [&](const Command& c) { return c.name == command; });
+  if (cmd == kCommands.end()) usage("unknown command " + command);
+  if (cmd->run == nullptr) {
     // `store` takes a positional action before the flags.
     if (argc < 3 || std::string(argv[2]).rfind("--", 0) == 0)
       usage("store needs an action: ninec store <fsck|stats|compact|scrub>");
     const std::string action = argv[2];
-    const Args store_args(argc, argv, 3, {"dir", "scan-only", "min-garbage"});
+    const Args store_args(argc, argv, 3, cmd->synopsis);
     try {
       return cmd_store(action, store_args);
     } catch (const std::exception& e) {
@@ -1408,11 +1449,7 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  const auto cmd =
-      std::find_if(kCommands.begin(), kCommands.end(),
-                   [&](const Command& c) { return c.name == command; });
-  if (cmd == kCommands.end()) usage("unknown command " + command);
-  const Args args(argc, argv, 2, cmd->flags);
+  const Args args(argc, argv, 2, cmd->synopsis);
   try {
     return cmd->run(args);
   } catch (const std::exception& e) {
