@@ -2,7 +2,8 @@
 # Replays the pinned ninec CLI corpus (make_corpus.sh): compresses the pinned
 # input again in a scratch directory and compares every file byte for byte
 # with the pinned one, then decompresses every pinned stream and compares
-# the output.
+# the output. The seed-1 tune search runs once more with two workers, which
+# must not change its report.
 # $1 = path to the ninec binary.
 set -eu
 
@@ -14,15 +15,18 @@ trap 'rm -rf "$DIR"' EXIT
 mkdir "$DIR/again"
 cp "$HERE/s5378.nct1" "$DIR/again/"
 "$HERE/make_corpus.sh" "$NINEC" "$DIR/again"
-for f in "$HERE"/*.nc9?*; do
+for f in "$HERE"/*.nc9?* "$HERE"/tune_seed*.json; do
   cmp "$f" "$DIR/again/$(basename "$f")"
 done
 for s in "$HERE"/*.nc9?; do
   "$NINEC" decompress --in "$s" --out "$DIR/out.nct1" >/dev/null
   cmp "$s.nct1" "$DIR/out.nct1"
 done
+"$NINEC" tune --in "$HERE/s5378.nct1" --jobs 2 --seed 1 --generations 6 \
+  --population 12 --json "$DIR/tune_jobs2.json" >/dev/null
+cmp "$HERE/tune_seed1.json" "$DIR/tune_jobs2.json"
 # make_corpus.sh writes no file that is not pinned.
-pinned=$(ls "$HERE"/*.nct1 "$HERE"/*.nc9? | wc -l)
+pinned=$(ls "$HERE"/*.nct1 "$HERE"/*.nc9? "$HERE"/tune_seed*.json | wc -l)
 test "$(ls "$DIR/again" | wc -l)" -eq "$pinned"
 
 echo "cli golden corpus OK"

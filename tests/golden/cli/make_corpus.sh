@@ -1,7 +1,8 @@
 #!/bin/sh
 # Writes the pinned ninec CLI corpus: the s5378 profile test set as an NCT1
-# file, its compressed streams in every container format ninec writes, and
-# the decompress output of each stream.
+# file, its compressed streams in every container format ninec writes, the
+# decompress output of each stream, and the JSON report of a seeded
+# `ninec tune` search over it for seeds 1-3.
 #
 #   tests/golden/cli/make_corpus.sh <ninec> [OUTDIR]
 #
@@ -10,7 +11,7 @@
 # (ctest cli_golden) seeds a scratch directory with the pinned input, writes
 # the corpus there and compares every file byte for byte with the pinned
 # one. Regenerate only for an intended change of the stream or test-set
-# format, and say so in the change log.
+# format or of the tuner's result, and say so in the change log.
 set -eu
 
 NINEC="$1"
@@ -32,4 +33,12 @@ OUT="${2:-$HERE}"
 
 for s in k8.nc9c k8_freq.nc9c k8_shards3.nc9s k9_split4.nc9t; do
   "$NINEC" decompress --in "$OUT/$s" --out "$OUT/$s.nct1" >/dev/null
+done
+
+# Seeded tune searches: the winner, every fitness figure and the
+# per-generation trace. k9_split4.json above is an input, not one of these.
+for seed in 1 2 3; do
+  "$NINEC" tune --in "$OUT/s5378.nct1" --jobs 1 --seed "$seed" \
+    --generations 6 --population 12 --json "$OUT/tune_seed$seed.json" \
+    >/dev/null
 done
