@@ -27,6 +27,17 @@ std::uint64_t stream_bits(const Codeword& w) noexcept {
 
 }  // namespace
 
+std::size_t encoded_bits(const std::array<std::size_t, kNumClasses>& counts,
+                         const CodewordTable& table, std::size_t k,
+                         std::size_t split) noexcept {
+  std::size_t bits = 0;
+  for (std::size_t c = 0; c < kNumClasses; ++c) {
+    const auto cls = static_cast<BlockClass>(c);
+    bits += counts[c] * (table.length(cls) + payload_trits(cls, k, split));
+  }
+  return bits;
+}
+
 std::size_t NineCodedStats::blocks() const noexcept {
   std::size_t n = 0;
   for (auto c : counts) n += c;
@@ -66,7 +77,8 @@ TritVector NineCoded::encode(const TritVector& td) const {
 // X plane, each half is classified with AND/OR/popcount on 64-bit words, and
 // codewords/payloads are emitted as shifted word writes. The per-trit
 // specification in tests/reference must produce byte-identical TE and
-// identical statistics (codec_diff_fuzz_test).
+// identical statistics (codec_diff_fuzz_test). Without an output stream the
+// block loop only classifies and |TE| is priced from the class histogram.
 
 NineCodedStats NineCoded::analyze(const TritVector& td,
                                   TritVector* out_stream) const {
@@ -93,15 +105,18 @@ NineCodedStats NineCoded::analyze(const TritVector& td,
     codewords[c].length = w.length;
   }
 
+  const bool emit = out_stream != nullptr;
   Bitplanes stream;
-  stream.reserve(planes.size() / 2);
+  if (emit) stream.reserve(planes.size() / 2);
   for (std::size_t b = 0; b < planes.size(); b += k_) {
     const HalfScan left = scan_half(planes, b, left_);
     const HalfScan right = scan_half(planes, b + left_, right_);
     const BlockClass cls = classify_halves(left.kind, right.kind);
     ++stats.counts[static_cast<std::size_t>(cls)];
-    const StreamWord& cw = codewords[static_cast<std::size_t>(cls)];
-    stream.append_word(cw.bits, 0, cw.length);
+    if (emit) {
+      const StreamWord& cw = codewords[static_cast<std::size_t>(cls)];
+      stream.append_word(cw.bits, 0, cw.length);
+    }
     switch (cls) {
       case BlockClass::kC1:
       case BlockClass::kC2:
@@ -113,23 +128,23 @@ NineCodedStats NineCoded::analyze(const TritVector& td,
       case BlockClass::kC7:
         stats.filled_x += left.x_count;
         stats.leftover_x += right.x_count;
-        stream.append_range(planes, b + left_, right_);
+        if (emit) stream.append_range(planes, b + left_, right_);
         break;
       case BlockClass::kC6:
       case BlockClass::kC8:
         stats.filled_x += right.x_count;
         stats.leftover_x += left.x_count;
-        stream.append_range(planes, b, left_);
+        if (emit) stream.append_range(planes, b, left_);
         break;
       case BlockClass::kC9:
         stats.leftover_x += left.x_count + right.x_count;
-        stream.append_range(planes, b, k_);
+        if (emit) stream.append_range(planes, b, k_);
         break;
     }
   }
 
-  stats.encoded_bits = stream.size();
-  if (out_stream != nullptr) *out_stream = stream.to_trits();
+  stats.encoded_bits = encoded_bits(stats.counts, table_, k_, left_);
+  if (emit) *out_stream = stream.to_trits();
   return stats;
 }
 

@@ -53,6 +53,15 @@ struct NineCodedStats {
   }
 };
 
+/// |TE| of a stream whose K-trit blocks (left half `split` trits) fall into
+/// the classes `counts`, coded with `table`: sum of N_i * (|C_i| +
+/// payload_i). A block's class depends only on TD, K and the split, never
+/// on the codeword lengths, so this prices a histogram from `analyze` under
+/// any other table of the same K and split exactly as its encoder would.
+std::size_t encoded_bits(const std::array<std::size_t, kNumClasses>& counts,
+                         const CodewordTable& table, std::size_t k,
+                         std::size_t split) noexcept;
+
 /// Fixed-block nine-codeword coder. Stateless and reusable; one instance per
 /// (K, codeword table) configuration.
 class NineCoded final : public Codec {
@@ -94,7 +103,10 @@ class NineCoded final : public Codec {
                                std::size_t original_bits,
                                core::Watchdog* watchdog = nullptr) const;
 
-  /// Encoding plus the full statistics bundle; `encode` forwards here.
+  /// The full statistics bundle, plus the TE stream in `out_stream` when it
+  /// is non-null (`encode` forwards here). Without `out_stream` no stream is
+  /// built: the blocks are only classified, and `encoded_bits` is priced
+  /// from their histogram.
   NineCodedStats analyze(const bits::TritVector& td,
                          bits::TritVector* out_stream = nullptr) const;
 

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <set>
 #include <stdexcept>
+#include <utility>
 
 namespace nc::synth {
 
@@ -21,48 +21,74 @@ std::string Cube::to_string(unsigned n) const {
   return s.empty() ? "1" : s;
 }
 
+namespace {
+
+using CubeKey = std::pair<std::uint32_t, std::uint32_t>;  // (value, mask)
+
+/// Sorts and deduplicates `v` in place.
+template <class T>
+void sort_unique(std::vector<T>& v) {
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+}
+
+}  // namespace
+
 std::vector<Cube> minimize(unsigned n, const std::vector<std::uint32_t>& ones,
                            const std::vector<std::uint32_t>& dontcares) {
   if (n > 20) throw std::invalid_argument("too many variables for QM");
   const std::uint32_t limit = n == 32 ? ~0u : (1u << n);
   const std::uint32_t full_mask = n == 32 ? ~0u : (1u << n) - 1;
 
-  std::set<std::uint32_t> on(ones.begin(), ones.end());
-  std::set<std::uint32_t> dc(dontcares.begin(), dontcares.end());
+  std::vector<std::uint32_t> on = ones;
+  std::vector<std::uint32_t> dc = dontcares;
+  sort_unique(on);
+  sort_unique(dc);
   for (std::uint32_t m : on) {
     if (m >= limit) throw std::invalid_argument("minterm out of range");
-    if (dc.count(m))
+    if (std::binary_search(dc.begin(), dc.end(), m))
       throw std::invalid_argument("minterm is both ON and DC");
   }
-  for (std::uint32_t m : dc)
-    if (m >= limit) throw std::invalid_argument("minterm out of range");
+  if (!dc.empty() && dc.back() >= limit)
+    throw std::invalid_argument("minterm out of range");
   if (on.empty()) return {};
 
-  // Iterative combining: cubes as (value, mask); two cubes merge when masks
-  // match and values differ in exactly one masked bit.
-  std::set<std::pair<std::uint32_t, std::uint32_t>> current;
-  for (std::uint32_t m : on) current.insert({m, full_mask});
-  for (std::uint32_t m : dc) current.insert({m, full_mask});
+  // Iterative combining over one level of cubes at a time, kept sorted by
+  // (value, mask). Every value bit outside its mask is 0, so two cubes merge
+  // exactly when they share a mask and their values differ in one masked
+  // bit: the cube with that bit clear finds its partner by one search for
+  // (value | bit, mask), and the merged cube keeps its value.
+  std::vector<CubeKey> current;
+  current.reserve(on.size() + dc.size());
+  for (std::uint32_t m : on) current.push_back({m, full_mask});
+  for (std::uint32_t m : dc) current.push_back({m, full_mask});
+  sort_unique(current);
 
   std::vector<Cube> primes;
+  std::vector<CubeKey> next;
+  std::vector<char> combined;
   while (!current.empty()) {
-    std::set<std::pair<std::uint32_t, std::uint32_t>> next;
-    std::set<std::pair<std::uint32_t, std::uint32_t>> combined;
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> list(current.begin(),
-                                                              current.end());
-    for (std::size_t i = 0; i < list.size(); ++i) {
-      for (std::size_t j = i + 1; j < list.size(); ++j) {
-        if (list[i].second != list[j].second) continue;
-        const std::uint32_t diff = list[i].first ^ list[j].first;
-        if (std::popcount(diff) != 1) continue;
-        next.insert({list[i].first & ~diff, list[i].second & ~diff});
-        combined.insert(list[i]);
-        combined.insert(list[j]);
+    next.clear();
+    combined.assign(current.size(), 0);
+    for (std::size_t i = 0; i < current.size(); ++i) {
+      const auto [value, mask] = current[i];
+      for (std::uint32_t free = mask & ~value; free != 0; free &= free - 1) {
+        const std::uint32_t bit = free & (~free + 1);
+        const auto partner = std::lower_bound(
+            current.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+            current.end(), CubeKey{value | bit, mask});
+        if (partner == current.end() || *partner != CubeKey{value | bit, mask})
+          continue;
+        next.push_back({value, mask & ~bit});
+        combined[i] = 1;
+        combined[static_cast<std::size_t>(partner - current.begin())] = 1;
       }
     }
-    for (const auto& c : list)
-      if (!combined.count(c)) primes.push_back(Cube{c.first, c.second});
-    current = std::move(next);
+    for (std::size_t i = 0; i < current.size(); ++i)
+      if (!combined[i])
+        primes.push_back(Cube{current[i].first, current[i].second});
+    sort_unique(next);
+    current.swap(next);
   }
 
   // Greedy cover of the ON-set by primes (essential primes fall out first
@@ -130,14 +156,16 @@ bool cover_matches(unsigned n, const std::vector<Cube>& cover,
                    const std::vector<std::uint32_t>& ones,
                    const std::vector<std::uint32_t>& dontcares) {
   const std::uint32_t limit = 1u << n;
-  std::set<std::uint32_t> on(ones.begin(), ones.end());
-  std::set<std::uint32_t> dc(dontcares.begin(), dontcares.end());
+  std::vector<std::uint32_t> on = ones;
+  std::vector<std::uint32_t> dc = dontcares;
+  sort_unique(on);
+  sort_unique(dc);
   for (std::uint32_t m = 0; m < limit; ++m) {
-    if (dc.count(m)) continue;
+    if (std::binary_search(dc.begin(), dc.end(), m)) continue;
     bool covered = false;
     for (const Cube& c : cover)
       if (c.covers(m)) { covered = true; break; }
-    if (covered != (on.count(m) > 0)) return false;
+    if (covered != std::binary_search(on.begin(), on.end(), m)) return false;
   }
   return true;
 }

@@ -1,13 +1,16 @@
-// Fitness of one genome on one workload: real encoder, real TAT model,
-// real synthesized decoder cost.
+// Fitness of one genome on one workload: the real encoder's block-class
+// histogram, the real TAT model, the real synthesized decoder cost.
 //
-// Nothing in here estimates. The candidate is run end-to-end through the
-// production NineCoded coder for its compression ratio, through decomp's
-// cycle accounting for TAT, and its decoder controller is synthesized
-// gate-by-gate with synth::code_synth (trie FSM + Quine-McCluskey) for the
-// hardware price. The three axes
-// combine under a weight vector into one scalar score; an invalid genome
-// (Kraft violation, oversized FSM) scores -infinity and is counted, not
+// Nothing in here estimates. The production NineCoded coder classifies the
+// (filled) test set once per (fill, fill seed, K, split); a block's class
+// depends on nothing else, so every candidate that shares those four is
+// priced from the same histogram: |TE| = sum N_i * (|C_i| + payload_i), the
+// exact size its encoder would emit (codec::encoded_bits). TAT comes from
+// decomp's cycle accounting over the same counts, and the decoder
+// controller is synthesized gate-by-gate with synth::code_synth (trie FSM +
+// Quine-McCluskey) for the hardware price. The three axes combine under a
+// weight vector into one scalar score; an invalid genome (Kraft violation,
+// bad K/split, oversized FSM) scores -infinity and is counted, not
 // repaired -- the optimizer's selection pressure does the repairing.
 #pragma once
 
@@ -16,6 +19,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "bits/test_set.h"
@@ -48,9 +52,10 @@ struct FitnessReport {
 };
 
 /// Evaluates genomes against one TestSet. Thread-safe: the optimizer calls
-/// evaluate() from every pool worker. FSM synthesis (the expensive part,
-/// and a pure function of the length assignment) and filled TD streams
-/// (pure functions of the fill policy + seed) are memoized under a mutex.
+/// evaluate() from every pool worker. Three pure functions are memoized
+/// under one mutex: the filled TD stream of a (fill, seed), the encoder's
+/// statistics of a (fill, seed, K, resolved split), and the synthesized FSM
+/// cost of a length assignment.
 class FitnessEvaluator {
  public:
   FitnessEvaluator(const bits::TestSet& td, TuneWeights weights);
@@ -63,6 +68,8 @@ class FitnessEvaluator {
 
  private:
   const bits::TritVector& filled_stream(const TuneGenome& genome) const;
+  codec::NineCodedStats class_stats(const TuneGenome& genome,
+                                    const codec::NineCoded& coder) const;
   std::size_t fsm_cost(const std::array<unsigned, codec::kNumClasses>& lengths,
                        const codec::CodewordTable& table) const;
 
@@ -72,6 +79,11 @@ class FitnessEvaluator {
   mutable std::mutex mutex_;
   mutable std::map<std::pair<unsigned, std::uint64_t>, bits::TritVector>
       fill_memo_;
+  // (fill, fill seed, K, resolved split) -> the encoder's statistics.
+  mutable std::map<
+      std::tuple<unsigned, std::uint64_t, std::size_t, std::size_t>,
+      codec::NineCodedStats>
+      stats_memo_;
   mutable std::map<std::string, std::size_t> fsm_memo_;
 };
 

@@ -77,8 +77,16 @@ expect_usage_error session --bench "$DIR/c.bench" --tests "$DIR/atpg.tests" \
   --jobs 99999999999999999999999
 expect_usage_error fleet --bench "$DIR/c.bench" --tests "$DIR/atpg.tests" \
   --devices 0
-# Unknown flags are usage errors, not silently ignored.
+# Unknown flags are usage errors, not silently ignored; the error and the
+# help go to stderr and nothing to stdout.
 expect_usage_error compress --in "$DIR/td.tests" --out "$DIR/x.9c" --bogus
+set +e
+"$NINEC" compress --in "$DIR/td.tests" --out "$DIR/x.9c" --bogus \
+  > "$DIR/out.txt" 2>/dev/null
+set -e
+test ! -s "$DIR/out.txt"
+grep -q '^error: unknown flag --bogus' "$DIR/err.txt"
+grep -q '^usage: ninec' "$DIR/err.txt"
 expect_usage_error compress --in "$DIR/td.tests" --out "$DIR/x.9c" \
   --codec-impl scalar
 expect_usage_error store stats --dir "$DIR" --bogus
@@ -89,8 +97,13 @@ test ! -e "$DIR/no-store"
 expect_usage_error store bogus --dir "$DIR/no-store"
 test ! -e "$DIR/no-store"
 # The help prints each synopsis from the table the flag parser reads, so it
-# names every flag a command takes -- these seven were once missing.
-"$NINEC" help > "$DIR/help.txt" 2>&1
+# names every flag a command takes -- these seven were once missing. Asked
+# for, it goes to stdout alone and exits 0.
+"$NINEC" help > "$DIR/help.txt" 2>"$DIR/help_err.txt"
+test ! -s "$DIR/help_err.txt"
+"$NINEC" --help > "$DIR/help2.txt" 2>"$DIR/help_err.txt"
+test ! -s "$DIR/help_err.txt"
+cmp "$DIR/help.txt" "$DIR/help2.txt"
 help_block() {  # the help lines of subcommand $1
   awk -v cmd="$1" '/^  [a-z]/ { on = ($1 == cmd) } on' "$DIR/help.txt"
 }

@@ -8,9 +8,12 @@
 # persistent artifact store: crash-recovery matrices plus compaction racing
 # concurrent readers, the erasure-coded sharded tier: degraded reads,
 # breaker probes and scrub repair under fault injection, the fault-parallel
-# response analyzer of the X-compaction layer, and the tune subsystem's
-# parallel fitness evaluation with its memoizing evaluator) to catch data
-# races in the parallel pipeline and the service.
+# response analyzer of the X-compaction layer, the tune subsystem's
+# parallel fitness evaluation with its memoizing evaluator -- including the
+# histogram-pricing differential test, whose pool workers share one
+# evaluator's memos -- and the Quine-McCluskey differential test behind the
+# evaluator's FSM pricing) to catch data races in the parallel pipeline and
+# the service.
 #
 #   tools/check.sh [--plain-only|--sanitize-only|--tsan-only]
 #
@@ -55,12 +58,12 @@ if [[ "$mode" != "--plain-only" && "$mode" != "--sanitize-only" ]]; then
     fleet_test decoder_fuzz_test codec_diff_fuzz_test frame_fuzz_test \
     serve_cache_test serve_server_test serve_timing_test serve_client_test \
     serve_chaos_test retry_test crc_test hash_test \
-    tune_test tune_roundtrip_test \
+    tune_test tune_roundtrip_test tune_pricing_test qm_diff_test \
     erasure_test store_test store_crash_test store_erasure_test \
     compact_test
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
   ctest --test-dir "$builddir" --output-on-failure -j "$jobs" \
-    -R 'ThreadPool|Parallel|ParallelPipeline|ShardedFormat|Fleet|DecoderFuzz|CodecDiffFuzz|Watchdog|FrameFuzz|ServeServer|ServeTiming|RetryingClient|ChaosSpec|ChaosStream|ChaosSoak|ArtifactCache|CacheKey|RetryHelper|Crc|Fnv128|Mix64|Tune|Genome|ErasureCodec|Store|Analyzer|Signature'
+    -R 'ThreadPool|Parallel|ParallelPipeline|ShardedFormat|Fleet|DecoderFuzz|CodecDiffFuzz|Watchdog|FrameFuzz|ServeServer|ServeTiming|RetryingClient|ChaosSpec|ChaosStream|ChaosSoak|ArtifactCache|CacheKey|RetryHelper|Crc|Fnv128|Mix64|Tune|Genome|QmDiff|ErasureCodec|Store|Analyzer|Signature'
 fi
 
 echo "== check.sh: all suites green =="

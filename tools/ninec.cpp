@@ -466,7 +466,7 @@ int cmd_compress(const Args& args) {
   }
   const std::size_t k = args.get_count("k", 8);
   check_header_k(k, "--k");
-  const TritVector stream = td.flatten();
+  const TritVector& stream = td.flatten();
   const nc::codec::NineCoded coder =
       args.has("freq-directed") ? nc::codec::NineCoded::tuned_for(stream, k)
                                 : nc::codec::NineCoded(k);
@@ -519,7 +519,7 @@ int cmd_decompress(const Args& args) {
 
 int cmd_stats(const Args& args) {
   const TestSet td = load_tests(args.require("in"));
-  const TritVector stream = td.flatten();
+  const TritVector& stream = td.flatten();
   const std::size_t k_min = args.get_count("k-min", 4);
   const std::size_t k_max = args.get_count("k-max", 32);
   nc::report::Table table("9C sweep of " + args.get("in") + " (" +
@@ -1396,29 +1396,32 @@ const std::vector<Command> kCommands = {
      "--signature-x sets the response X-overlay density)"},
 };
 
-/// Writes `text` with every line after the first indented to the synopsis
-/// column.
-void print_indented(std::string_view text) {
+/// Writes `text` to `out` with every line after the first indented to the
+/// synopsis column.
+void print_indented(std::ostream& out, std::string_view text) {
   for (const char c : text) {
-    std::cerr << c;
-    if (c == '\n') std::cerr << "             ";
+    out << c;
+    if (c == '\n') out << "             ";
   }
-  std::cerr << '\n';
+  out << '\n';
 }
 
+/// Prints the help and exits: to stdout with code 0 when asked for, to
+/// stderr after the error with code 2 on a usage error.
 [[noreturn]] void usage(const std::string& error) {
-  if (!error.empty()) std::cerr << "error: " << error << "\n\n";
-  std::cerr << "usage: ninec <command> [options]\n";
+  std::ostream& out = error.empty() ? std::cout : std::cerr;
+  if (!error.empty()) out << "error: " << error << "\n\n";
+  out << "usage: ninec <command> [options]\n";
   for (const Command& c : kCommands) {
-    std::cerr << "  " << c.name
-              << std::string(c.name.size() < 11 ? 11 - c.name.size() : 1, ' ');
-    print_indented(c.synopsis);
+    out << "  " << c.name
+        << std::string(c.name.size() < 11 ? 11 - c.name.size() : 1, ' ');
+    print_indented(out, c.synopsis);
     if (!c.notes.empty()) {
-      std::cerr << "             ";
-      print_indented(c.notes);
+      out << "             ";
+      print_indented(out, c.notes);
     }
   }
-  std::cerr <<
+  out <<
       "count options (--devices, --shards, --jobs, --batch, --k, --p, ...)\n"
       "take a positive integer; --shards/--jobs also accept 'auto' (one\n"
       "shard/worker per hardware thread). Malformed values, unknown flags\n"
