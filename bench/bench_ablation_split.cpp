@@ -7,7 +7,6 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "codec/block_class.h"
 #include "codec/nine_coded.h"
 #include "report/table.h"
 
@@ -21,7 +20,7 @@ std::size_t three_coded_bits(const nc::bits::TritVector& td, std::size_t k) {
     padded.append_run(k - padded.size() % k, nc::bits::Trit::X);
   std::size_t total = 0;
   for (std::size_t b = 0; b < padded.size(); b += k) {
-    const auto kind = nc::codec::classify_half(padded, b, k);
+    const auto kind = nc::codec::NineCoded::scan_half(padded, b, k).kind;
     if (kind.zero_compatible)
       total += 1;
     else if (kind.one_compatible)

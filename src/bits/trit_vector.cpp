@@ -12,33 +12,6 @@ TritVector TritVector::from_string(std::string_view s) {
   return v;
 }
 
-void TritVector::append(const TritVector& other) {
-  if (&other == this) {  // self-append would read words being reallocated
-    const TritVector copy = other;
-    append(copy);
-    return;
-  }
-  if (other.size_ == 0) return;
-  // Word-parallel shifted copy of the packed 2-bit representation. The
-  // bit offset is even (trit-aligned), the source tail past other.size()
-  // is zero, and this vector's tail is zero, so plain OR merges cleanly.
-  const std::size_t dst_bit = size_ * 2;
-  words_.resize((size_ + other.size_ + 31) / 32, 0);
-  size_ += other.size_;
-  const std::size_t w = dst_bit >> 6;
-  const unsigned off = dst_bit & 63;
-  if (off == 0) {
-    for (std::size_t i = 0; i < other.words_.size(); ++i)
-      words_[w + i] = other.words_[i];
-  } else {
-    for (std::size_t i = 0; i < other.words_.size(); ++i) {
-      words_[w + i] |= other.words_[i] << off;
-      if (w + i + 1 < words_.size())
-        words_[w + i + 1] |= other.words_[i] >> (64 - off);
-    }
-  }
-}
-
 void TritVector::append_run(std::size_t n, Trit t) {
   if (n == 0) return;
   // New words arrive zeroed and the old tail is zero, so only non-Zero
@@ -78,21 +51,8 @@ void TritVector::resize(std::size_t n, Trit fill) {
 
 TritVector TritVector::slice(std::size_t begin, std::size_t len) const {
   TritVector out;
-  if (begin >= size_) return out;
-  len = std::min(len, size_ - begin);
-  out.size_ = len;
-  out.words_.assign((len + 31) / 32, 0);
-  const std::size_t src_bit = begin * 2;
-  const std::size_t w = src_bit >> 6;
-  const unsigned off = src_bit & 63;
-  for (std::size_t i = 0; i < out.words_.size(); ++i) {
-    Word bits = words_[w + i] >> off;
-    if (off != 0 && w + i + 1 < words_.size())
-      bits |= words_[w + i + 1] << (64 - off);
-    out.words_[i] = bits;
-  }
-  if (len % 32 != 0)
-    out.words_.back() &= (Word{1} << ((len & 31u) * 2)) - 1;
+  if (begin < size_)
+    out.append_range(*this, begin, std::min(len, size_ - begin));
   return out;
 }
 

@@ -64,13 +64,69 @@ class TritVector {
     set(size_ - 1, t);
   }
 
-  /// Appends every trit of `other` (word-parallel shifted copy).
-  void append(const TritVector& other);
+  /// Appends every trit of `other`; `other` may be *this.
+  void append(const TritVector& other) { append_range(other, 0, other.size()); }
+
+  /// Appends src[begin, begin+n), a word-parallel shifted copy of the packed
+  /// words; `begin + n` must not exceed src.size(). `src` may be *this: the
+  /// copied range lies below the old size(), where nothing is written.
+  /// Inline: one call per payload on the 9C encoder and decoder hot paths.
+  void append_range(const TritVector& src, std::size_t begin, std::size_t n) {
+    if (n == 0) return;
+    std::size_t from = begin * 2;  // bit offsets
+    std::size_t to = size_ * 2;
+    size_ += n;
+    words_.resize((size_ + 31) / 32, 0);  // may move src.words_ too
+    // 64 source bits at a time, the last chunk masked to the range, OR-ed
+    // into the zero tail at any even offset.
+    for (std::size_t left = n * 2; left > 0;) {
+      const unsigned take = left < 64 ? static_cast<unsigned>(left) : 64;
+      const std::size_t sw = from >> 6;
+      const unsigned soff = from & 63;
+      Word chunk = src.words_[sw] >> soff;
+      if (soff + take > 64) chunk |= src.words_[sw + 1] << (64 - soff);
+      if (take < 64) chunk &= (Word{1} << take) - 1;
+      const std::size_t dw = to >> 6;
+      const unsigned doff = to & 63;
+      words_[dw] |= chunk << doff;
+      if (doff + take > 64) words_[dw + 1] |= chunk >> (64 - doff);
+      from += take;
+      to += take;
+      left -= take;
+    }
+  }
+
+  /// The `n` (<= 32) trits from `begin` as 2-bit fields, trit begin+j at
+  /// bits 2j (value) and 2j+1 (X); the bits past 2n are zero. `begin + n`
+  /// must not exceed size().
+  std::uint64_t packed_bits(std::size_t begin, unsigned n) const noexcept {
+    if (n == 0) return 0;
+    const std::size_t w = begin >> kShift;
+    const unsigned off = shift_of(begin);
+    Word bits = words_[w] >> off;
+    // off + 2n > 64 implies off > 0, so the shift is in range.
+    if (off + 2 * n > 64) bits |= words_[w + 1] << (64 - off);
+    return n == 32 ? bits : bits & ((Word{1} << (2 * n)) - 1);
+  }
+
+  /// Appends `n` (<= 32) trits given as 2-bit fields in packed_bits() form;
+  /// the bits of `bits` past 2n must be zero.
+  void append_packed(std::uint64_t bits, unsigned n) {
+    if (n == 0) return;
+    const std::size_t w = size_ >> kShift;
+    const unsigned off = shift_of(size_);
+    size_ += n;
+    words_.resize((size_ + 31) / 32, 0);
+    words_[w] |= bits << off;
+    if (off + 2 * n > 64) words_[w + 1] |= bits >> (64 - off);
+  }
 
   /// Appends `n` copies of `t`, whole packed words at a time.
   void append_run(std::size_t n, Trit t);
 
   void resize(std::size_t n, Trit fill = Trit::X);
+  /// Pre-sizes the backing words for `n` trits in all.
+  void reserve(std::size_t n) { words_.reserve((n + 31) / 32); }
   void clear() noexcept {
     words_.clear();
     size_ = 0;
@@ -98,11 +154,12 @@ class TritVector {
 
   std::string to_string() const;
 
-  // --- bitplane interop (bits/bitplane.h) ---
+  // --- packed words ---
   // The packed representation is part of the bits-layer contract: 2-bit
   // fields, 32 trits per 64-bit word, low bit = value, high bit = X, every
-  // bit at position >= size() zero. Bitplanes de-interleaves these words
-  // for plane extraction and rebuilds them for injection.
+  // bit at position >= size() zero. The NCT1 serializer stores these words
+  // as they are, and the 9C codec reads and writes them in place (masks
+  // over the value and X lanes, packed_bits/append_packed/append_range).
 
   /// Number of backing 64-bit words (== ceil(size()/32)).
   std::size_t packed_word_count() const noexcept { return words_.size(); }

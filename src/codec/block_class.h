@@ -20,9 +20,6 @@
 #include <array>
 #include <cstddef>
 
-#include "bits/bitplane.h"
-#include "bits/trit_vector.h"
-
 namespace nc::codec {
 
 /// The nine block cases. Values are 0-based (kC1 == 0 ... kC9 == 8) so they
@@ -53,33 +50,14 @@ struct HalfKind {
   bool mismatch() const noexcept { return !zero_compatible && !one_compatible; }
 };
 
-/// Inspects the `len` trits of `v` starting at `begin`.
-HalfKind classify_half(const bits::TritVector& v, std::size_t begin,
-                       std::size_t len) noexcept;
-
-/// One full scan of a half: its kind plus its X population. The encoder
-/// scans each half exactly once and reuses the result for the class
-/// decision, the N_i statistics and the filled-X accounting. Unlike
-/// classify_half this cannot early-exit on the first 0/1 conflict -- the X
-/// count must be exact.
+/// One full scan of a half (NineCoded::scan_half): its kind plus its X
+/// population. The encoder scans each half exactly once and reuses the
+/// result for the class decision, the N_i statistics and the filled-X
+/// accounting.
 struct HalfScan {
   HalfKind kind;
   std::size_t x_count = 0;
 };
-
-/// Word-parallel scan of a half over packed bitplanes: classifies the
-/// whole range with AND/OR/popcount per 64-trit word instead of a
-/// per-trit walk. Inline so the plane scan fuses into the encoder's block
-/// loop.
-inline HalfScan scan_half(const bits::Bitplanes& planes, std::size_t begin,
-                          std::size_t len) noexcept {
-  const bits::PlaneScan s = planes.scan(begin, len);
-  HalfScan scan;
-  scan.kind.zero_compatible = !s.any_one;
-  scan.kind.one_compatible = !s.any_zero;
-  scan.x_count = s.x_count;
-  return scan;
-}
 
 /// Combines two half kinds into the block case. When several cases apply
 /// (halves of all-X are both 0- and 1-compatible) the cheapest case wins;

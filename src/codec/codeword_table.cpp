@@ -15,6 +15,13 @@ std::string Codeword::to_string() const {
   return s;
 }
 
+std::uint64_t Codeword::packed() const noexcept {
+  std::uint64_t fields = 0;
+  for (unsigned j = 0; j < length; ++j)
+    fields |= std::uint64_t{(bits >> (length - 1 - j)) & 1u} << (2 * j);
+  return fields;
+}
+
 namespace {
 
 /// Lengths from Table I: C1=1, C2=2, C3..C8=5, C9=4.
@@ -87,35 +94,18 @@ unsigned CodewordTable::max_length() const noexcept {
   return m;
 }
 
-namespace {
-
-/// One matcher body shared by both stream backends, so the scalar and
-/// bitplane decoders recognize codewords -- and fail -- identically.
-template <typename Reader>
-BlockClass match_words(const std::array<Codeword, kNumClasses>& words,
-                       unsigned maxlen, Reader& reader) {
+BlockClass CodewordTable::match(bits::TritReader& reader) const {
   const std::size_t start = reader.position();
+  const unsigned maxlen = max_length();
   std::uint32_t acc = 0;
-  unsigned len = 0;
-  while (len < maxlen) {
+  for (unsigned len = 1; len <= maxlen; ++len) {
     acc = (acc << 1) | (reader.next_bit() ? 1u : 0u);
-    ++len;
     for (std::size_t c = 0; c < kNumClasses; ++c) {
-      if (words[c].length == len && words[c].bits == acc)
+      if (words_[c].length == len && words_[c].bits == acc)
         return static_cast<BlockClass>(c);
     }
   }
   throw DecodeError(DecodeFault::kInvalidCodeword, start);
-}
-
-}  // namespace
-
-BlockClass CodewordTable::match(bits::TritReader& reader) const {
-  return match_words(words_, max_length(), reader);
-}
-
-BlockClass CodewordTable::match(bits::BitplaneReader& reader) const {
-  return match_words(words_, max_length(), reader);
 }
 
 bool CodewordTable::prefix_free() const {

@@ -47,6 +47,9 @@ struct Codeword {
   unsigned length = 0;
 
   std::string to_string() const;
+  /// The codeword as TritVector 2-bit fields (bits::TritVector::packed_bits)
+  /// in transmit order: the first transmitted bit is trit 0.
+  std::uint64_t packed() const noexcept;
   bool operator==(const Codeword&) const = default;
 };
 
@@ -84,10 +87,6 @@ class CodewordTable {
   /// reader itself throws on truncation (StreamOverrun) and on an X in a
   /// codeword position (InvalidSymbol).
   BlockClass match(bits::TritReader& reader) const;
-
-  /// Same contract over a bitplane stream; raises the identical exception
-  /// sequence so both decoder implementations fail identically.
-  BlockClass match(bits::BitplaneReader& reader) const;
 
   /// True if no codeword is a prefix of another (checked in tests; holds by
   /// construction).

@@ -1,8 +1,11 @@
 // The 9C encoder/decoder (Section II of the paper) and its statistics.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "codec/codec.h"
@@ -71,8 +74,9 @@ class NineCoded final : public Codec {
   /// the left-half length in trits: 0 (the default) means the paper's
   /// symmetric K/2 and requires K even >= 2; an explicit split in [1, K-1]
   /// allows asymmetric halves (and odd K), which the tuner searches over.
-  /// The coder is word-parallel (DESIGN.md section 13); the per-trit
-  /// specification it is fuzzed against lives in tests/reference.
+  /// The coder works on TritVector's packed words (DESIGN.md section 13);
+  /// the per-trit specification it is fuzzed against lives in
+  /// tests/reference.
   explicit NineCoded(std::size_t block_size,
                      CodewordTable table = CodewordTable::standard(),
                      std::size_t split = 0);
@@ -115,6 +119,35 @@ class NineCoded final : public Codec {
   /// re-assigned table). Returns the coder to use.
   static NineCoded tuned_for(const bits::TritVector& td,
                              std::size_t block_size);
+
+  /// Classifies v[begin, begin+len) and counts its X symbols one packed
+  /// word at a time: with `lanes` the value bits of the range's trits in
+  /// word w, w & lanes shows a specified 1, a lane set in neither w nor
+  /// w >> 1 a specified 0, and popcount((w >> 1) & lanes) the X count.
+  /// `begin + len` must not exceed v.size(). Inline: the encoder calls it
+  /// twice per block.
+  static HalfScan scan_half(const bits::TritVector& v, std::size_t begin,
+                            std::size_t len) noexcept {
+    constexpr std::uint64_t kValueLanes = 0x5555555555555555ull;
+    bool any_one = false;
+    bool any_zero = false;
+    HalfScan scan;
+    for (std::size_t pos = begin, end = begin + len; pos < end;) {
+      const std::size_t stop = std::min(end, (pos | 31) + 1);  // word end
+      const std::uint64_t lanes = (kValueLanes >> (64 - 2 * (stop - pos)))
+                                  << (2 * (pos & 31));
+      const std::uint64_t w = v.packed_word(pos >> 5);
+      const std::uint64_t vals = w & lanes;
+      const std::uint64_t xs = (w >> 1) & lanes;
+      any_one |= vals != 0;
+      any_zero |= (vals | xs) != lanes;
+      scan.x_count += static_cast<std::size_t>(std::popcount(xs));
+      pos = stop;
+    }
+    scan.kind.zero_compatible = !any_one;
+    scan.kind.one_compatible = !any_zero;
+    return scan;
+  }
 
  private:
   std::size_t k_;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "codec/nine_coded.h"
+
 namespace nc::codec {
 namespace {
 
@@ -10,13 +12,13 @@ using bits::TritVector;
 BlockClass classify(const std::string& block) {
   const TritVector v = TritVector::from_string(block);
   const std::size_t half = v.size() / 2;
-  return classify_halves(classify_half(v, 0, half),
-                         classify_half(v, half, half));
+  return classify_halves(NineCoded::scan_half(v, 0, half).kind,
+                         NineCoded::scan_half(v, half, half).kind);
 }
 
 TEST(ClassifyHalf, AllZeroIsZeroCompatibleOnly) {
   const TritVector v = TritVector::from_string("0000");
-  const HalfKind k = classify_half(v, 0, 4);
+  const HalfKind k = NineCoded::scan_half(v, 0, 4).kind;
   EXPECT_TRUE(k.zero_compatible);
   EXPECT_FALSE(k.one_compatible);
   EXPECT_FALSE(k.mismatch());
@@ -24,20 +26,20 @@ TEST(ClassifyHalf, AllZeroIsZeroCompatibleOnly) {
 
 TEST(ClassifyHalf, AllXIsBothCompatible) {
   const TritVector v = TritVector::from_string("XXXX");
-  const HalfKind k = classify_half(v, 0, 4);
+  const HalfKind k = NineCoded::scan_half(v, 0, 4).kind;
   EXPECT_TRUE(k.zero_compatible);
   EXPECT_TRUE(k.one_compatible);
 }
 
 TEST(ClassifyHalf, MixedIsMismatch) {
   const TritVector v = TritVector::from_string("0X1X");
-  EXPECT_TRUE(classify_half(v, 0, 4).mismatch());
+  EXPECT_TRUE(NineCoded::scan_half(v, 0, 4).kind.mismatch());
 }
 
 TEST(ClassifyHalf, RespectsOffsetAndLength) {
   const TritVector v = TritVector::from_string("11110000");
-  EXPECT_FALSE(classify_half(v, 0, 4).zero_compatible);
-  EXPECT_TRUE(classify_half(v, 4, 4).zero_compatible);
+  EXPECT_FALSE(NineCoded::scan_half(v, 0, 4).kind.zero_compatible);
+  EXPECT_TRUE(NineCoded::scan_half(v, 4, 4).kind.zero_compatible);
 }
 
 // Paper Table I, K=8 example rows.

@@ -123,6 +123,17 @@ printf '{"format":"nc9-tune-genome","k":256,"split":0,"lengths":[1,2,5,5,5,5,5,5
   > "$DIR/k256.json"
 expect_usage_error compress --in "$DIR/td.tests" --out "$DIR/x.9c" \
   --table "$DIR/k256.json"
+# stats sweeps even K from --k-min in steps of 4 up to --k-max <= 255: an
+# odd --k-min, an empty range and a --k-max past the bound exit 2 before
+# printing anything.
+for range in "--k-min 5 --k-max 9" "--k-min 12 --k-max 8" \
+             "--k-max 18446744073709551615"; do
+  expect_usage_error stats --in "$DIR/td.tests" $range
+  set +e
+  "$NINEC" stats --in "$DIR/td.tests" $range > "$DIR/out.txt" 2>/dev/null
+  set -e
+  test ! -s "$DIR/out.txt"
+done
 # 'auto' spells out the old 0-means-auto convention.
 "$NINEC" compress --in "$DIR/td.tests" --out "$DIR/ta.9c" --shards auto --jobs auto
 "$NINEC" decompress --in "$DIR/ta.9c" --out "$DIR/backa.tests" --jobs auto

@@ -72,17 +72,18 @@ DecodeResult try_decode(const Coder& coder, const TritVector& te,
 
 /// One full differential check: encode with the reference and production,
 /// compare streams and stats field by field, then decode the stream with
-/// both.
+/// both. `split` 0 is the paper's K/2.
 void expect_identical(std::size_t k, const TritVector& td,
-                      const char* context) {
-  const NineCoded production(k);
+                      const char* context, std::size_t split = 0) {
+  const NineCoded production(k, CodewordTable::standard(), split);
   const ReferenceCodec reference(production);
 
   TritVector te_r, te_p;
   const NineCodedStats sr = reference_analyze(production, td, &te_r);
   const NineCodedStats sp = production.analyze(td, &te_p);
 
-  ASSERT_TRUE(te_r == te_p) << context << " K=" << k << " n=" << td.size()
+  ASSERT_TRUE(te_r == te_p) << context << " K=" << k << " split=" << split
+                            << " n=" << td.size()
                             << "\nreference =" << te_r.to_string()
                             << "\nproduction=" << te_p.to_string();
   ASSERT_EQ(sr.encoded_bits, sp.encoded_bits) << context;
@@ -198,6 +199,28 @@ TEST(CodecDiffFuzz, EmptyInput) {
 
 // ------------------------------------------- corrupted-stream differential
 
+/// One random mutation of a non-empty TE: truncation, a symbol flipped to
+/// X (codeword positions must detect it), a flipped value, or trailing
+/// garbage.
+void corrupt(std::mt19937& rng, TritVector& te) {
+  switch (rng() % 4) {
+    case 0:
+      te.resize(rng() % te.size());
+      break;
+    case 1:
+      te.set(rng() % te.size(), Trit::X);
+      break;
+    case 2: {
+      const std::size_t i = rng() % te.size();
+      te.set(i, te.get(i) == Trit::One ? Trit::Zero : Trit::One);
+      break;
+    }
+    default:
+      te.append_run(1 + rng() % 5, bits::trit_from_bit(rng() & 1u));
+      break;
+  }
+}
+
 // Mutates clean TE streams -- truncation, trit flips to X, symbol flips,
 // appended garbage -- and requires the two decoders to agree on the full
 // outcome: either both recover identical bits or both throw the same fault
@@ -213,23 +236,7 @@ TEST(CodecDiffFuzz, CorruptedStreamsFailIdentically) {
     TritVector te = reference.encode(td);
     if (te.empty()) continue;
 
-    switch (rng() % 4) {
-      case 0:  // truncate
-        te.resize(rng() % te.size());
-        break;
-      case 1: {  // flip one symbol to X (codeword positions must detect it)
-        te.set(rng() % te.size(), Trit::X);
-        break;
-      }
-      case 2: {  // flip one specified symbol's value
-        const std::size_t i = rng() % te.size();
-        te.set(i, te.get(i) == Trit::One ? Trit::Zero : Trit::One);
-        break;
-      }
-      default:  // trailing garbage
-        te.append_run(1 + rng() % 5, bits::trit_from_bit(rng() & 1u));
-        break;
-    }
+    corrupt(rng, te);
 
     const DecodeResult dr = try_decode(reference, te, td.size());
     const DecodeResult dp = try_decode(production, te, td.size());
@@ -248,6 +255,41 @@ TEST(CodecDiffFuzz, CorruptedStreamsFailIdentically) {
   // The mutation mix must actually exercise the error paths, not decay
   // into a round-trip test (complete code: value flips often still parse).
   ASSERT_GT(faults_seen, 20);
+}
+
+// Asymmetric splits whose halves straddle the 32-trit packed word: K in
+// [2, 130] with a left or right half of 31, 32 or 33 trits where K allows
+// it (any split in [1, K-1] otherwise), on clean streams and on corrupted
+// ones.
+TEST(CodecDiffFuzz, SplitsStraddlingThePackedWord) {
+  std::mt19937 rng(2026);
+  int faults_seen = 0;
+  for (int t = 0; t < 300; ++t) {
+    const std::size_t k = 2 + rng() % 129;
+    std::vector<std::size_t> splits;
+    for (std::size_t half : {31u, 32u, 33u}) {
+      if (half < k) {
+        splits.push_back(half);
+        splits.push_back(k - half);
+      }
+    }
+    const std::size_t split =
+        splits.empty() ? 1 + rng() % (k - 1) : splits[rng() % splits.size()];
+    const double density = (rng() % 5) / 4.0;
+    const TritVector td = random_cube(rng, 1 + rng() % 600, density);
+    ASSERT_NO_FATAL_FAILURE(expect_identical(k, td, "split", split));
+
+    const NineCoded production(k, CodewordTable::standard(), split);
+    const ReferenceCodec reference(production);
+    TritVector te = reference.encode(td);  // not empty: |TD| >= 1
+    corrupt(rng, te);
+    const DecodeResult dr = try_decode(reference, te, td.size());
+    ASSERT_TRUE(dr == try_decode(production, te, td.size()))
+        << "decoders disagree on corrupted stream, K=" << k
+        << " split=" << split << " trial " << t;
+    if (dr.fault.has_value()) ++faults_seen;
+  }
+  ASSERT_GT(faults_seen, 30);
 }
 
 // ------------------------------------------- sharded/parallel differential

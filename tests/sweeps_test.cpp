@@ -153,7 +153,7 @@ TEST_P(SplitSweep, NineCodedBeatsWholeBlockCode) {
       padded.append_run(k - padded.size() % k, Trit::X);
     std::size_t three = 0;
     for (std::size_t b = 0; b < padded.size(); b += k) {
-      const auto kind = codec::classify_half(padded, b, k);
+      const auto kind = codec::NineCoded::scan_half(padded, b, k).kind;
       three += kind.zero_compatible ? 1 : kind.one_compatible ? 2 : 2 + k;
     }
     const std::size_t nine = codec::NineCoded(k).encode(td).size();

@@ -518,17 +518,25 @@ int cmd_decompress(const Args& args) {
 }
 
 int cmd_stats(const Args& args) {
-  const TestSet td = load_tests(args.require("in"));
-  const TritVector& stream = td.flatten();
+  // The sweep steps K by 4 from --k-min, so an odd start would reach no
+  // even K, and --k-max takes compress's bound, which also keeps the step
+  // from wrapping.
   const std::size_t k_min = args.get_count("k-min", 4);
   const std::size_t k_max = args.get_count("k-max", 32);
+  if (k_min % 2 != 0)
+    usage("--k-min must be even, got " + std::to_string(k_min));
+  if (k_min > k_max)
+    usage("--k-min " + std::to_string(k_min) + " exceeds --k-max " +
+          std::to_string(k_max));
+  check_header_k(k_max, "--k-max");
+  const TestSet td = load_tests(args.require("in"));
+  const TritVector& stream = td.flatten();
   nc::report::Table table("9C sweep of " + args.get("in") + " (" +
                           std::to_string(stream.size()) + " bits, " +
                           std::to_string(100.0 * stream.x_fraction()) +
                           "% X)");
   table.set_header({"K", "CR%", "LX%", "|TE|"});
   for (std::size_t k = k_min; k <= k_max; k += 4) {
-    if (k % 2 != 0) continue;
     const auto stats = nc::codec::NineCoded(k).analyze(stream);
     table.row()
         .add(k)
