@@ -22,7 +22,7 @@ namespace {
 /// first). The channel never sees an X on input; a post-channel X (a flip
 /// landing on a don't-care cannot happen here, but a stuck pin may emit
 /// one) maps back to 0 -- any concrete corruption is equally good.
-bits::TritVector bytes_to_trits(const std::vector<std::uint8_t>& bytes) {
+bits::TritVector trits_from_bytes(const std::vector<std::uint8_t>& bytes) {
   bits::TritVector v;
   v.resize(bytes.size() * 8, bits::Trit::Zero);
   for (std::size_t i = 0; i < bytes.size(); ++i)
@@ -169,7 +169,7 @@ class Client {
         std::uniform_real_distribution<double>(0.0, 1.0)(fault_rng_) *
                 static_cast<double>(config_.fault_period) <
             1.0) {
-      bytes = trits_to_bytes(channel_.transmit(bytes_to_trits(bytes)));
+      bytes = trits_to_bytes(channel_.transmit(trits_from_bytes(bytes)));
       if (channel_.last_corrupted()) ++stats_.corrupted_sends;
     }
     return bytes;
