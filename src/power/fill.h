@@ -22,8 +22,13 @@ enum class FillStrategy {
 const char* fill_strategy_name(FillStrategy s) noexcept;
 
 /// Returns a fully specified copy of `cubes`. `seed` matters only for
-/// kRandom. MT-fill scans each pattern left to right; leading X's adopt the
-/// first care bit (or 0 in an all-X pattern).
+/// kRandom, which makes one std::mt19937_64 draw per X in scan order and
+/// uses its low bit. MT-fill scans each pattern left to right; leading X's
+/// adopt the first care bit (or 0 in an all-X pattern).
+/// Works on TritVector's packed words: 0- and 1-fill are one mask per word,
+/// MT-fill finds each lane's nearest earlier care trit with doubling shifts
+/// within a word and carries the last value across words.
+/// tests/reference/fill_reference holds the per-trit specification.
 bits::TestSet fill(const bits::TestSet& cubes, FillStrategy strategy,
                    std::uint64_t seed = 1);
 

@@ -1,5 +1,7 @@
 #include "serve/loadgen.h"
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <map>
 #include <random>
@@ -57,9 +59,59 @@ bits::TestSet random_test_set(std::size_t patterns, std::size_t width,
   return ts;
 }
 
+/// Pool entries 2d (encode) and 2d + 1 (decode): the requests of distinct
+/// test set d, with replies computed by the server's own code path.
+std::array<Workload, 2> workload_pair(const LoadgenConfig& config,
+                                      const codec::NineCoded& coder,
+                                      std::size_t d) {
+  const bits::TestSet ts = random_test_set(
+      config.patterns, config.width, config.x_density,
+      config.seed * 1000003 + d);
+  const bits::TritVector te = coder.encode(ts.flatten());
+
+  Workload enc;
+  enc.request_type = FrameType::kEncodeRequest;
+  enc.request_payload = to_payload(EncodeRequest{config.spec, ts});
+  enc.expected_type = FrameType::kEncodeReply;
+  enc.expected_payload = trits_payload(te);
+
+  Workload dec;
+  dec.request_type = FrameType::kDecodeRequest;
+  DecodeRequest dr;
+  dr.spec = config.spec;
+  dr.patterns = config.patterns;
+  dr.width = config.width;
+  dr.te = te;
+  dec.request_payload = to_payload(dr);
+  dec.expected_type = FrameType::kDecodeReply;
+  // Reference computed with the server's exact path (same watchdog
+  // budget, same unflatten), so verification is byte-identity.
+  const std::size_t original = config.patterns * config.width;
+  core::Watchdog watchdog(64 + 8 * (original + te.size()));
+  const codec::DecodeOutcome outcome =
+      coder.decode_checked(te, original, &watchdog);
+  dec.expected_payload = test_set_payload(
+      bits::TestSet::unflatten(outcome.data, config.patterns, config.width));
+  return {std::move(enc), std::move(dec)};
+}
+
+/// The pool entries some client sends, by their index into the whole pool
+/// of `size` entries: build_workloads' pairs, then the signature publish
+/// and checks.
+struct SentPool {
+  std::size_t size = 0;
+  std::map<std::size_t, Workload> entries;
+};
+
+/// The pool index of a client's request number `issued`.
+std::size_t workload_index(std::size_t client, std::size_t issued,
+                           std::size_t pool_size) {
+  return (client * 31 + issued) % pool_size;
+}
+
 class Client {
  public:
-  Client(const LoadgenConfig& config, const std::vector<Workload>& pool,
+  Client(const LoadgenConfig& config, const SentPool& pool,
          RetryingClient::Connect connect, std::size_t index)
       : config_(config),
         pool_(pool),
@@ -94,8 +146,8 @@ class Client {
       // Keep the pipeline full.
       while (client.inflight() < config_.pipeline &&
              issued < config_.requests_per_client) {
-        const std::size_t widx = workload_index(issued);
-        const Workload& w = pool_[widx];
+        const std::size_t widx = workload_index(index_, issued, pool_.size);
+        const Workload& w = pool_.entries.at(widx);
         const std::uint64_t seq =
             client.submit(w.request_type, w.request_payload);
         seq_to_workload[seq] = widx;
@@ -106,7 +158,7 @@ class Client {
 
       for (auto& [seq, outcome] :
            client.poll(std::chrono::milliseconds(50))) {
-        const Workload& w = pool_[seq_to_workload.at(seq)];
+        const Workload& w = pool_.entries.at(seq_to_workload.at(seq));
         seq_to_workload.erase(seq);
         switch (outcome.status) {
           case RetryingClient::Outcome::Status::kReply:
@@ -155,10 +207,6 @@ class Client {
     return c;
   }
 
-  std::size_t workload_index(std::size_t issued) const {
-    return (index_ * 31 + issued) % pool_.size();
-  }
-
   /// Seeded Bernoulli at rate 1/fault_period, NOT a strict every-Nth
   /// counter: a deterministic counter phase-locks with the retry loop
   /// (each stall interleaves a fixed number of fresh transmits between a
@@ -176,7 +224,7 @@ class Client {
   }
 
   const LoadgenConfig& config_;
-  const std::vector<Workload>& pool_;
+  const SentPool& pool_;
   RetryingClient::Connect connect_;
   std::size_t index_;
   decomp::ChannelModel channel_;
@@ -209,39 +257,9 @@ std::vector<Workload> build_workloads(const LoadgenConfig& config) {
   const codec::NineCoded coder = config.spec.make_coder();
   std::vector<Workload> pool;
   pool.reserve(config.distinct * 2);
-  for (std::size_t d = 0; d < config.distinct; ++d) {
-    const bits::TestSet ts = random_test_set(
-        config.patterns, config.width, config.x_density,
-        config.seed * 1000003 + d);
-    const bits::TritVector te = coder.encode(ts.flatten());
-
-    Workload enc;
-    enc.request_type = FrameType::kEncodeRequest;
-    enc.request_payload = to_payload(EncodeRequest{config.spec, ts});
-    enc.expected_type = FrameType::kEncodeReply;
-    enc.expected_payload = trits_payload(te);
-    pool.push_back(std::move(enc));
-
-    Workload dec;
-    dec.request_type = FrameType::kDecodeRequest;
-    DecodeRequest dr;
-    dr.spec = config.spec;
-    dr.patterns = config.patterns;
-    dr.width = config.width;
-    dr.te = te;
-    dec.request_payload = to_payload(dr);
-    dec.expected_type = FrameType::kDecodeReply;
-    // Reference computed with the server's exact path (same watchdog
-    // budget, same unflatten), so verification is byte-identity.
-    const std::size_t original = config.patterns * config.width;
-    core::Watchdog watchdog(64 + 8 * (original + te.size()));
-    const codec::DecodeOutcome outcome =
-        coder.decode_checked(te, original, &watchdog);
-    dec.expected_payload = test_set_payload(
-        bits::TestSet::unflatten(outcome.data, config.patterns,
-                                 config.width));
-    pool.push_back(std::move(dec));
-  }
+  for (std::size_t d = 0; d < config.distinct; ++d)
+    for (Workload& w : workload_pair(config, coder, d))
+      pool.push_back(std::move(w));
   return pool;
 }
 
@@ -334,14 +352,44 @@ void publish_signatures(const LoadgenConfig& config, const Workload& publish,
 LoadgenStats run_loadgen(
     const LoadgenConfig& config,
     const std::function<std::unique_ptr<ByteStream>()>& connect) {
-  std::vector<Workload> pool = build_workloads(config);
+  // Only the entries some client sends are built, so set-up grows with the
+  // requests sent, not with the pool: a client's indices repeat after
+  // `size` requests.
+  SentPool pool;
+  const std::size_t pairs_end = 2 * config.distinct;
+  pool.size = pairs_end +
+              (config.signature_checks > 0 ? 1 + config.signature_checks : 0);
+  std::vector<std::size_t> sent;
+  for (std::size_t i = 0; i < config.clients; ++i)
+    for (std::size_t j = 0; j < std::min(config.requests_per_client, pool.size);
+         ++j)
+      sent.push_back(workload_index(i, j, pool.size));
+  std::sort(sent.begin(), sent.end());
+  sent.erase(std::unique(sent.begin(), sent.end()), sent.end());
+
+  const codec::NineCoded coder = config.spec.make_coder();
+  std::array<Workload, 2> pair;
+  std::size_t pair_of = config.distinct;  // none yet: every d < distinct
+  for (std::size_t index : sent) {
+    if (index >= pairs_end) break;
+    if (index / 2 != pair_of) {
+      pair = workload_pair(config, coder, index / 2);
+      pair_of = index / 2;
+    }
+    pool.entries.emplace(index, std::move(pair[index % 2]));
+  }
   if (config.signature_checks > 0) {
     SignatureWorkloads sig = build_signature_workloads(config);
     publish_signatures(config, sig.publish, connect);
     // Republishing from the pool is idempotent (content-addressed), so the
     // publish itself stays under load too.
-    pool.push_back(std::move(sig.publish));
-    for (Workload& w : sig.checks) pool.push_back(std::move(w));
+    for (std::size_t index : sent) {
+      if (index == pairs_end)
+        pool.entries.emplace(index, std::move(sig.publish));
+      else if (index > pairs_end)
+        pool.entries.emplace(index,
+                             std::move(sig.checks[index - pairs_end - 1]));
+    }
   }
   std::vector<LoadgenStats> results(config.clients);
   std::vector<std::thread> threads;

@@ -47,7 +47,7 @@ struct LoadgenConfig {
   std::size_t pipeline = 4;  // per-client in-flight requests
   /// Workload pool: `distinct` test sets of `patterns` x `width` trits at
   /// `x_density` don't-care fraction; each yields one encode and one decode
-  /// request.
+  /// request. run_loadgen builds only the entries its clients send.
   std::size_t distinct = 6;
   std::size_t patterns = 16;
   std::size_t width = 64;

@@ -146,7 +146,11 @@ void Server::serve(std::unique_ptr<ByteStream> stream) {
 void Server::stop() {
   bool first;
   {
-    std::lock_guard<std::mutex> lock(conn_mutex_);
+    // serve() reads stopping_ under conn_mutex_ and the scheduler's wait
+    // predicate under queue_mutex_. Setting it under both means the
+    // notify below cannot fall between the scheduler's check and its
+    // sleep, where it would be lost and the join would never return.
+    std::scoped_lock lock(conn_mutex_, queue_mutex_);
     first = !stopping_.exchange(true);
   }
   if (!first) {

@@ -1,7 +1,10 @@
 // Two-level logic minimization (Quine-McCluskey) -- the substrate behind
 // the paper's "FSM synthesized to a handful of gates" claim. Alphabet sizes
-// here are tiny (the decoder FSM has 6 inputs), so exact prime-implicant
-// generation plus a greedy cover is both exact enough and instant.
+// here are tiny (the decoder FSM has 6 inputs, a code FSM at most 12), so
+// exact prime-implicant generation plus a greedy cover is both exact
+// enough and instant. Both run on truth tables of 2^n bits: one table per
+// set of free variables marks the implicants, and the cover counts
+// uncovered ON minterms with popcounts.
 #pragma once
 
 #include <cstdint>
@@ -26,9 +29,14 @@ struct Cube {
 };
 
 /// Minimizes a single-output function given its ON-set and DC-set minterms
-/// (everything else is the OFF-set). `n` <= 20. Returns a prime-implicant
-/// cover of the ON-set (possibly empty for a constant-0 function).
-/// Throws std::invalid_argument if ON and DC sets overlap or exceed 2^n.
+/// (everything else is the OFF-set). Returns a prime-implicant cover of the
+/// ON-set (possibly empty for a constant-0 function): the essential primes,
+/// then greedily the prime covering the most uncovered ON minterms, ties to
+/// fewer literals, then to the earlier prime (primes ordered by free
+/// variable count, then (value, mask)).
+/// `n` <= 12: the implicant tables take 4^n / 8 bytes, 2 MB at n = 12.
+/// Throws std::invalid_argument if n > 12, or if ON and DC sets overlap or
+/// exceed 2^n.
 std::vector<Cube> minimize(unsigned n, const std::vector<std::uint32_t>& ones,
                            const std::vector<std::uint32_t>& dontcares = {});
 

@@ -1,8 +1,9 @@
-// Differential test of the sorted-vector Quine-McCluskey minimizer against
+// Differential test of the truth-table Quine-McCluskey minimizer against
 // the std::set oracle in tests/reference: on random functions with
-// don't-care sets the cover must be the oracle's, cube for cube and in the
-// same order, malformed input must fail with the oracle's message, and the
-// synthesized decoder FSMs must match the oracle's output for output.
+// don't-care sets, sparse and dense, the cover must be the oracle's, cube
+// for cube and in the same order, malformed input must fail with the
+// oracle's message, and the synthesized decoder FSMs must match the
+// oracle's output for output.
 #include "reference/qm_reference.h"
 
 #include <gtest/gtest.h>
@@ -42,6 +43,23 @@ Function random_function(std::mt19937_64& rng) {
   return f;
 }
 
+/// A dense function of `n` variables with no minterm cap: each of the 2^n
+/// minterms is ON, DC or OFF with per-function odds.
+Function dense_function(std::mt19937_64& rng, unsigned n) {
+  Function f;
+  f.n = n;
+  const std::uint64_t on_pct = rng() % 101;
+  const std::uint64_t dc_pct = rng() % (101 - on_pct);
+  for (std::uint32_t m = 0; m < (1u << n); ++m) {
+    const std::uint64_t r = rng() % 100;
+    if (r < on_pct)
+      f.ones.push_back(m);
+    else if (r < on_pct + dc_pct)
+      f.dontcares.push_back(m);
+  }
+  return f;
+}
+
 std::string render(const std::vector<Cube>& cover, unsigned n) {
   std::string s;
   for (const Cube& c : cover) {
@@ -60,6 +78,45 @@ TEST(QmDiff, RandomFunctionsGetTheOraclesCover) {
     ASSERT_EQ(got, want) << "trial " << trial << " n=" << f.n << "\n  got  "
                          << render(got, f.n) << "\n  want "
                          << render(want, f.n);
+  }
+}
+
+TEST(QmDiff, DenseFunctionsGetTheOraclesCover) {
+  std::mt19937_64 rng(28);
+  for (int trial = 0; trial < 40; ++trial) {
+    const Function f = dense_function(rng, 7 + trial % 4);
+    const std::vector<Cube> got = minimize(f.n, f.ones, f.dontcares);
+    const std::vector<Cube> want = reference_minimize(f.n, f.ones, f.dontcares);
+    ASSERT_EQ(got, want) << "trial " << trial << " n=" << f.n << "\n  got  "
+                         << render(got, f.n) << "\n  want "
+                         << render(want, f.n);
+  }
+}
+
+TEST(QmDiff, DenseTwelveVariableFunctionIsCovered) {
+  // Twelve variables is the minimizer's cap and past the oracle's reach.
+  std::mt19937_64 rng(12);
+  for (int trial = 0; trial < 4; ++trial) {
+    const Function f = dense_function(rng, 12);
+    const std::vector<Cube> cover = minimize(f.n, f.ones, f.dontcares);
+    EXPECT_TRUE(cover_matches(f.n, cover, f.ones, f.dontcares))
+        << "trial " << trial;
+  }
+}
+
+TEST(QmDiff, ThirteenVariablesFailWithTheOraclesMessage) {
+  std::string want;
+  try {
+    reference_minimize(21, {0});
+  } catch (const std::invalid_argument& e) {
+    want = e.what();
+  }
+  ASSERT_FALSE(want.empty());
+  try {
+    minimize(13, {0});
+    ADD_FAILURE() << "minimize(13, ...) did not throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(e.what(), want);
   }
 }
 
@@ -102,6 +159,20 @@ void expect_same_outputs(const std::vector<FsmOutputCost>& got,
   }
 }
 
+void expect_code_fsm_matches(const std::vector<CodeLeaf>& leaves) {
+  const CodeSynthResult got = synthesize_code_fsm(leaves, 3);
+  const CodeSynthResult want = reference_synthesize_code_fsm(leaves, 3);
+  std::string where = "code";
+  for (const CodeLeaf& leaf : leaves) {
+    where += ' ';
+    where += leaf.word.to_string();
+  }
+  EXPECT_EQ(got.total_states, want.total_states) << where;
+  EXPECT_EQ(got.total_gate_equivalents(), want.total_gate_equivalents())
+      << where;
+  expect_same_outputs(got.outputs, want.outputs, where);
+}
+
 TEST(QmDiff, CodeFsmsMatchTheOracle) {
   // Codeword lengths up to 8, the tuner's default cap.
   std::mt19937_64 rng(11);
@@ -117,19 +188,42 @@ TEST(QmDiff, CodeFsmsMatchTheOracle) {
       continue;
     }
     ++tables;
-    const std::vector<CodeLeaf> leaves = leaves_for_table(table);
-    const CodeSynthResult got = synthesize_code_fsm(leaves, 3);
-    const CodeSynthResult want = reference_synthesize_code_fsm(leaves, 3);
-    std::string where = "lengths";
-    for (unsigned len : lengths) {
-      where += ' ';
-      where += std::to_string(len);
-    }
-    EXPECT_EQ(got.total_states, want.total_states) << where;
-    EXPECT_EQ(got.total_gate_equivalents(), want.total_gate_equivalents())
-        << where;
-    expect_same_outputs(got.outputs, want.outputs, where);
+    expect_code_fsm_matches(leaves_for_table(table));
   }
+}
+
+TEST(QmDiff, LongCodeFsmsMatchTheOracle) {
+  // Nine random prefix-free codewords of up to 31 bits, the longest a
+  // codeword may be. A canonical table shares most prefixes; these share
+  // few, so the trie passes 128 states: 10 FSM inputs. (All nine at 31
+  // bits reach 261 states and 11 inputs, but the oracle takes 15-20 s on
+  // each such FSM.)
+  std::mt19937_64 rng(31);
+  std::size_t max_inputs = 0;
+  for (int code = 0; code < 2; ++code) {
+    std::vector<CodeLeaf> leaves;
+    while (leaves.size() < codec::kNumClasses) {
+      CodeLeaf leaf;
+      leaf.word.length = 1 + static_cast<unsigned>(rng() % 31);
+      leaf.word.bits = static_cast<std::uint32_t>(rng()) &
+                       ((std::uint32_t{1} << leaf.word.length) - 1);
+      leaf.plan_a = static_cast<unsigned>(rng() % 3);
+      leaf.plan_b = static_cast<unsigned>(rng() % 3);
+      const bool prefix_free = std::none_of(
+          leaves.begin(), leaves.end(), [&](const CodeLeaf& other) {
+            const codec::Codeword& a = other.word;
+            const codec::Codeword& b = leaf.word;
+            return a.length <= b.length
+                       ? b.bits >> (b.length - a.length) == a.bits
+                       : a.bits >> (a.length - b.length) == b.bits;
+          });
+      if (prefix_free) leaves.push_back(leaf);
+    }
+    expect_code_fsm_matches(leaves);
+    max_inputs =
+        std::max(max_inputs, synthesize_code_fsm(leaves, 3).state_bits + 2);
+  }
+  EXPECT_EQ(max_inputs, 10u);
 }
 
 TEST(QmDiff, DecoderFsmMatchesTheOracle) {

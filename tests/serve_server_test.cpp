@@ -5,11 +5,16 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
+#include <future>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "bits/test_set.h"
 #include "gen/cube_gen.h"
@@ -329,6 +334,29 @@ TEST(ServeServerTest, StopIsIdempotentAndDestructorClean) {
   server.reset();  // destructor after explicit stop must not hang
 }
 
+TEST(ServeServerTest, StopReturnsWithinABoundOverManyStartStopCycles) {
+  // stop() right after start races the scheduler's first wait; every third
+  // cycle also has an encode in flight. A stop() that loses the
+  // scheduler's wake-up blocks in its join forever, so each one runs on its
+  // own thread and the test aborts, failed, if it is not back in time.
+  for (int cycle = 0; cycle < 300; ++cycle) {
+    ServerConfig config;
+    config.worker_threads = 1;
+    Server server(config);
+    std::unique_ptr<TestClient> client;
+    if (cycle % 3 == 0) {
+      client = std::make_unique<TestClient>(server);
+      client->send(encode_request(1, small_test_set()));
+    }
+    auto stopped = std::async(std::launch::async, [&server] { server.stop(); });
+    if (stopped.wait_for(std::chrono::seconds(20)) !=
+        std::future_status::ready) {
+      ADD_FAILURE() << "stop() did not return within 20 s in cycle " << cycle;
+      std::abort();  // the future's destructor would wait for it forever
+    }
+  }
+}
+
 TEST(ServeServerTest, LoadgenCleanChannelAllByteIdentical) {
   ServerConfig sconfig;
   sconfig.worker_threads = 2;
@@ -350,6 +378,64 @@ TEST(ServeServerTest, LoadgenCleanChannelAllByteIdentical) {
   EXPECT_EQ(stats.requests,
             lconfig.clients * lconfig.requests_per_client);
   EXPECT_EQ(stats.byte_mismatches, 0u);
+  server.stop();
+}
+
+TEST(ServeServerTest, LoadgenSendingPartOfThePoolGetsCleanStats) {
+  ServerConfig sconfig;
+  sconfig.worker_threads = 2;
+  Server server(sconfig);
+
+  // Of the 2 x 30 + 1 + 3 pool entries, client i sends (31 i + j) mod 64
+  // for j < 5: encodes without their decode and the reverse, and two
+  // signature checks. Every counter is what a run over the whole pool
+  // gives: 15 byte-identical replies and nothing else.
+  LoadgenConfig lconfig;
+  lconfig.clients = 3;
+  lconfig.requests_per_client = 5;
+  lconfig.distinct = 30;
+  lconfig.patterns = 8;
+  lconfig.width = 32;
+  lconfig.signature_checks = 3;
+  lconfig.retransmit_timeout = milliseconds(10000);
+  const LoadgenStats stats = run_loadgen_inprocess(lconfig, server);
+  auto counters = [](const LoadgenStats& s) {
+    return std::vector<std::uint64_t>{
+        s.requests, s.byte_mismatches, s.typed_rejections, s.decode_failures,
+        s.frame_errors, s.corrupted_sends, s.retransmits, s.timeouts,
+        s.duplicates, s.unresolved, s.hedges, s.hedge_wins, s.reconnects,
+        s.deadline_rejections, s.signature_unknowns};
+  };
+  LoadgenStats want;
+  want.requests = 15;
+  EXPECT_EQ(counters(stats), counters(want));
+  server.stop();
+}
+
+TEST(ServeServerTest, LoadgenSetUpGrowsWithRequestsNotDistinct) {
+  ServerConfig sconfig;
+  sconfig.worker_threads = 2;
+  Server server(sconfig);
+
+  // 10^7 distinct test sets, of which 2 clients x 3 requests reach six.
+  LoadgenConfig lconfig;
+  lconfig.clients = 2;
+  lconfig.requests_per_client = 3;
+  lconfig.distinct = 10'000'000;
+  lconfig.patterns = 8;
+  lconfig.width = 32;
+  rusage before{};
+  getrusage(RUSAGE_SELF, &before);
+  const auto t0 = std::chrono::steady_clock::now();
+  const LoadgenStats stats = run_loadgen_inprocess(lconfig, server);
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  rusage after{};
+  getrusage(RUSAGE_SELF, &after);
+  EXPECT_TRUE(stats.clean());
+  EXPECT_EQ(stats.requests, 6u);
+  EXPECT_LT(elapsed, std::chrono::seconds(2));
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64 * 1024)
+      << "peak RSS grew by " << after.ru_maxrss - before.ru_maxrss << " KB";
   server.stop();
 }
 

@@ -72,7 +72,8 @@ namespace {
 using nc::bits::TestSet;
 using nc::bits::TritVector;
 
-/// Prints the help (to stderr) and exits: 0 without an error, else 2.
+/// Prints the help and exits: to stdout with 0 without an error, else to
+/// stderr, after the error, with 2.
 [[noreturn]] void usage(const std::string& error = "");
 
 /// Strict non-negative integer: the whole text must be digits and fit in
