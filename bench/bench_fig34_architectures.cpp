@@ -8,7 +8,7 @@
 #include "decomp/multi_scan.h"
 #include "gen/cube_gen.h"
 #include "report/table.h"
-#include "synth/fsm_synth.h"
+#include "synth/code_synth.h"
 
 int main() {
   const nc::bits::TestSet td =
@@ -22,7 +22,11 @@ int main() {
   out.set_header({"architecture", "chains", "pins", "decoders", "SoC cycles",
                   "speedup", "CR%", "HW gates"});
 
-  const std::size_t decoder_gates = nc::synth::decoder_gate_estimate(k);
+  const std::size_t decoder_gates = nc::synth::decoder_gate_estimate(
+      nc::synth::synthesize_code_fsm(
+          nc::synth::leaves_for_table(coder.table()), 3)
+          .total_gate_equivalents(),
+      k);
   const auto a = nc::decomp::run_single_scan(td, coder, p);
   auto add_row = [&](const nc::decomp::ArchitectureReport& r) {
     // Hardware: decoder copies plus the staging shifter flops of the

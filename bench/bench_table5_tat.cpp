@@ -34,7 +34,7 @@ int main() {
       const double tat = nc::decomp::tat_percent(stats, coder.table(), ps[i]);
       out.add(tat, 2);
       sum[i] += tat;
-      const nc::decomp::SingleScanDecoder decoder(k, ps[i]);
+      const nc::decomp::SingleScanDecoder decoder(coder, ps[i]);
       match = match && decoder.run(te, td.size()).soc_cycles ==
                            nc::decomp::comp_soc_cycles(stats, coder.table(),
                                                        ps[i]);

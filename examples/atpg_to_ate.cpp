@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   std::cout << coder.name() << ": CR = " << stats.compression_ratio()
             << "%, leftover X = " << stats.leftover_x_percent() << "%\n";
 
-  const nc::decomp::SingleScanDecoder decoder(8, 8);
+  const nc::decomp::SingleScanDecoder decoder(coder, 8);
   const nc::decomp::DecoderTrace trace = decoder.run(te, td.size());
   const nc::bits::TestSet decoded = nc::bits::TestSet::unflatten(
       trace.scan_stream, atpg.tests.pattern_count(),

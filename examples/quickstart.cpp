@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
             << (td.covered_by(decoded) ? "yes" : "NO") << '\n';
 
   const unsigned p = 8;  // SoC scan clock is 8x the ATE clock
-  const nc::decomp::SingleScanDecoder decoder(k, p);
+  const nc::decomp::SingleScanDecoder decoder(coder, p);
   const nc::decomp::DecoderTrace trace = decoder.run(te, td.size());
   std::cout << "on-chip decoder model: " << trace.soc_cycles
             << " SoC cycles (vs " << nc::decomp::nocomp_soc_cycles(td.size(), p)

@@ -102,6 +102,29 @@ constexpr std::size_t payload_trits(BlockClass c, std::size_t k) noexcept {
   return payload_trits(c, k, k / 2);
 }
 
+/// The decoder's half plans (the paper's 2-bit MUX select): what drives the
+/// scan chain during one half of a block.
+inline constexpr unsigned kPlanFill0 = 0;  // constant 0
+inline constexpr unsigned kPlanFill1 = 1;  // constant 1
+inline constexpr unsigned kPlanData = 2;   // the payload, streamed from TE
+
+/// The (left, right) half plans of class `c`: C1 fills 0|0, C5 fills the
+/// left half with 0s and streams the right, C9 streams both halves.
+constexpr std::array<unsigned, 2> half_plans(BlockClass c) noexcept {
+  switch (c) {
+    case BlockClass::kC1: return {kPlanFill0, kPlanFill0};
+    case BlockClass::kC2: return {kPlanFill1, kPlanFill1};
+    case BlockClass::kC3: return {kPlanFill0, kPlanFill1};
+    case BlockClass::kC4: return {kPlanFill1, kPlanFill0};
+    case BlockClass::kC5: return {kPlanFill0, kPlanData};
+    case BlockClass::kC6: return {kPlanData, kPlanFill0};
+    case BlockClass::kC7: return {kPlanFill1, kPlanData};
+    case BlockClass::kC8: return {kPlanData, kPlanFill1};
+    case BlockClass::kC9: break;
+  }
+  return {kPlanData, kPlanData};
+}
+
 /// For the no-payload cases, the two uniform fill bits (left, right) the
 /// decoder must expand: e.g. C3 -> {0,1}. Only valid for C1..C4.
 constexpr std::array<bool, 2> uniform_fill(BlockClass c) noexcept {

@@ -31,7 +31,7 @@ SessionResult run_perfect(const circuit::Netlist& netlist,
   const codec::NineCoded coder(config.block_size);
   const TritVector td = cubes.flatten();
   const TritVector te = coder.encode(td);
-  const SingleScanDecoder decoder(config.block_size, config.p);
+  const SingleScanDecoder decoder(coder, config.p);
   const DecoderTrace trace = decoder.run(te, td.size());
   result.ate_bits = te.size();
   // One capture cycle per pattern on top of the decoder's scan-in time;
@@ -63,7 +63,7 @@ SessionResult run_perfect_parallel(const circuit::Netlist& netlist,
                                    const SessionConfig& config,
                                    const std::optional<sim::Fault>& fault) {
   const codec::NineCoded coder(config.block_size);
-  const SingleScanDecoder decoder(config.block_size, config.p);
+  const SingleScanDecoder decoder(coder, config.p);
   const std::size_t jobs = config.jobs == 0
                                ? core::ThreadPool::hardware_threads()
                                : config.jobs;
@@ -134,7 +134,7 @@ SessionResult run_resilient(const circuit::Netlist& netlist,
   SessionResult result;
   const ResilienceConfig& res = *config.resilience;
   const codec::NineCoded coder(config.block_size);
-  const SingleScanDecoder decoder(config.block_size, config.p);
+  const SingleScanDecoder decoder(coder, config.p);
   ChannelModel channel(res.channel);
   ResponseComparator compare(netlist, cubes.pattern_length());
 

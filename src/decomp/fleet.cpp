@@ -240,7 +240,7 @@ class FleetRunner {
         config_(config),
         profiles_(profiles),
         coder_(config.block_size),
-        decoder_(config.block_size, config.p) {
+        decoder_(coder_, config.p) {
     if (profiles_.empty())
       throw std::invalid_argument("fleet needs at least one device");
     if (config_.batch_patterns == 0)

@@ -36,7 +36,7 @@ ArchitectureReport run_single_scan(const TestSet& td,
 
   const TritVector stream = td.flatten();
   const TritVector te = coder.encode(stream);
-  const SingleScanDecoder decoder(coder.block_size(), p);
+  const SingleScanDecoder decoder(coder, p);
   DecoderTrace trace;
   try {
     trace = decoder.run(te, stream.size(), watchdog);
@@ -70,7 +70,7 @@ ArchitectureReport run_multi_scan_single_pin(const TestSet& td,
   // shifter runs in the SoC domain in lockstep with D_out.
   const TritVector stream = td.flatten_sliced(chains);
   const TritVector te = coder.encode(stream);
-  const SingleScanDecoder decoder(coder.block_size(), p);
+  const SingleScanDecoder decoder(coder, p);
   DecoderTrace trace;
   try {
     trace = decoder.run(te, stream.size(), watchdog);
@@ -107,7 +107,7 @@ ArchitectureReport run_multi_scan_banked(const TestSet& td, std::size_t chains,
   // its own pin; the banks run in parallel, so test time is the slowest
   // bank's time.
   const std::size_t depth = (td.pattern_length() + chains - 1) / chains;
-  const SingleScanDecoder decoder(k, p);
+  const SingleScanDecoder decoder(coder, p);
   std::size_t original_total = 0;
   for (std::size_t bank = 0; bank < banks; ++bank) {
     // The bank's slice of TD: for each pattern and each depth position, the

@@ -1,19 +1,24 @@
 // Cycle-accurate model of the single-scan-chain decompressor (Fig. 1):
-// FSM (Fig. 2) + log2(K/2) counter + K/2-bit shifter + 3-way MUX.
+// the controller FSM (Fig. 2) + a counter over the half length + a
+// half-block shifter + a 3-way MUX.
 //
-// The model is bit-serial and dual-clock: FSM recognition and mismatch
-// payload streaming consume ATE cycles; uniform-half shifting consumes SoC
-// cycles (f_scan = p * f_ate). The returned trace carries both clock-domain
-// totals plus the exact stream that entered the scan chain, so tests can
-// assert (a) data correctness against the software decoder and (b) cycle
-// counts against the analytic model in timing.h.
+// The controller is the codec::DecoderSpec of the coder's table, K and
+// split -- the same FSM that synth prices and rtl emits -- so any table the
+// encoder can use, frequency-directed or tuned (odd K, uneven halves), runs
+// here too. The model is bit-serial and dual-clock: FSM recognition and
+// mismatch payload streaming consume ATE cycles; uniform-half shifting
+// consumes SoC cycles (f_scan = p * f_ate). The returned trace carries both
+// clock-domain totals plus the exact stream that entered the scan chain, so
+// tests can assert (a) data correctness against the software decoder and
+// (b) cycle counts against the analytic model in timing.h.
 #pragma once
 
 #include <cstddef>
 
 #include "bits/trit_vector.h"
+#include "codec/decoder_spec.h"
+#include "codec/nine_coded.h"
 #include "core/cancel.h"
-#include "decomp/decoder_fsm.h"
 
 namespace nc::decomp {
 
@@ -26,30 +31,34 @@ struct DecoderTrace {
 
 class SingleScanDecoder {
  public:
-  /// `block_size` is K (even, >= 2); `p` = f_scan / f_ate >= 1. The decoder
-  /// hardware is independent of the test set; only K sizes the counter and
-  /// shifter.
-  SingleScanDecoder(std::size_t block_size, unsigned p);
+  /// The decoder of the streams `coder` writes: its table, K and split
+  /// program the controller and the half lengths. `p` = f_scan / f_ate >= 1.
+  SingleScanDecoder(const codec::NineCoded& coder, unsigned p);
 
   /// Decompresses TE until at least `original_bits` scan bits have been
   /// produced (whole blocks; the scan_stream is then truncated to
   /// `original_bits`, mirroring how the tail pad never leaves the chain).
-  /// A corrupted TE (truncated, X in a codeword position, or symbols left
-  /// over after the last block) raises codec::DecodeError with the TE
-  /// offset and the index of the block in flight.
+  /// A corrupted TE raises codec::DecodeError with the fault, the TE offset
+  /// and the index of the block in flight, as decode_checked numbers
+  /// blocks. Offsets are bit-serial: a truncated stream reports where the
+  /// reader ran dry, an X in a codeword its position, and a bit that leaves
+  /// the trie (a table with Kraft slack) the codeword's start
+  /// (kInvalidCodeword); symbols left over after the last block are
+  /// kTrailingData.
   ///
   /// `watchdog` (optional, borrowed) meters the run: one step per FSM
-  /// transition and per scan bit streamed. A trip raises
+  /// transition (each codeword bit, each half's done, the Ack), and a
+  /// half's length before the half streams. A trip raises
   /// codec::DecodeError(kWatchdogExpired), so a runaway or crafted stream
   /// is stopped with bounded work instead of being allowed to spin.
   DecoderTrace run(const bits::TritVector& te, std::size_t original_bits,
                    core::Watchdog* watchdog = nullptr) const;
 
-  std::size_t block_size() const noexcept { return k_; }
+  const codec::DecoderSpec& spec() const noexcept { return spec_; }
   unsigned p() const noexcept { return p_; }
 
  private:
-  std::size_t k_;
+  codec::DecoderSpec spec_;
   unsigned p_;
 };
 

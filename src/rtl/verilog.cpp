@@ -3,58 +3,15 @@
 #include <cctype>
 #include <sstream>
 #include <stdexcept>
-#include <vector>
+
+#include "codec/decoder_spec.h"
 
 namespace nc::rtl {
 
 namespace {
 
-using codec::BlockClass;
 using codec::CodewordTable;
-
-/// Plan encoding in the generated RTL: 00 fill-0, 01 fill-1, 10 data.
-unsigned plan_code(BlockClass cls, bool left) {
-  const auto mixed = [&]() -> unsigned {
-    const codec::MixedShape shape = codec::mixed_shape(cls);
-    const bool data = left == shape.mismatch_is_left;
-    if (data) return 2;
-    return shape.uniform_value ? 1u : 0u;
-  };
-  switch (cls) {
-    case BlockClass::kC1: return 0;
-    case BlockClass::kC2: return 1;
-    case BlockClass::kC3: return left ? 0u : 1u;
-    case BlockClass::kC4: return left ? 1u : 0u;
-    case BlockClass::kC9: return 2;
-    default: return mixed();
-  }
-}
-
-struct Trie {
-  struct Node {
-    int child[2] = {-1, -1};   // state index, or -1
-    int leaf[2] = {-1, -1};    // class index recognized on that bit, or -1
-  };
-  std::vector<Node> nodes{1};
-
-  void insert(const codec::Codeword& w, int cls) {
-    std::size_t at = 0;
-    for (unsigned i = w.length; i-- > 0;) {
-      const unsigned bit = (w.bits >> i) & 1u;
-      if (i == 0) {
-        nodes[at].leaf[bit] = cls;
-      } else {
-        int next = nodes[at].child[bit];
-        if (next < 0) {
-          next = static_cast<int>(nodes.size());
-          nodes.emplace_back();
-          nodes[at].child[bit] = next;
-        }
-        at = static_cast<std::size_t>(next);
-      }
-    }
-  }
-};
+using codec::DecoderSpec;
 
 unsigned clog2(std::size_t v) {
   unsigned bits = 0;
@@ -69,27 +26,22 @@ std::string generate_decoder_verilog(const CodewordTable& table,
                                      const VerilogOptions& options) {
   if (k < 4 || k % 2 != 0)
     throw std::invalid_argument("decoder RTL needs an even K >= 4");
-  const std::size_t half = k / 2;
+  const DecoderSpec spec(table, k, k / 2);
+  const std::size_t half = spec.left();
   const unsigned cnt_bits = clog2(half);
-
-  Trie trie;
-  for (std::size_t c = 0; c < codec::kNumClasses; ++c)
-    trie.insert(table.at(static_cast<BlockClass>(c)), static_cast<int>(c));
-
-  const std::size_t n_rec = trie.nodes.size();
-  const std::size_t s_half_a = n_rec, s_half_b = n_rec + 1, s_ack = n_rec + 2;
-  const unsigned state_bits = clog2(n_rec + 3);
+  const std::uint32_t n_rec = spec.recognition_states();
+  const unsigned state_bits = clog2(spec.state_count());
 
   std::ostringstream v;
-  auto leaf_action = [&](int cls) {
-    const auto block = static_cast<BlockClass>(cls);
+  // Plan encoding in the RTL is half_plans': 00 fill-0, 01 fill-1, 10 data.
+  // The spec's leaves are C1..C9 in class order.
+  auto leaf_action = [&](std::uint32_t leaf) {
+    const codec::CodeLeaf& l = spec.leaves()[leaf];
     std::ostringstream a;
-    a << "begin plan_a <= 2'd" << plan_code(block, true)
-      << "; plan_b <= 2'd" << plan_code(block, false) << "; cnt <= "
-      << cnt_bits << "'d0; state <= S_HALF_A; end";
+    a << "begin plan_a <= 2'd" << l.plan_a << "; plan_b <= 2'd" << l.plan_b
+      << "; cnt <= " << cnt_bits << "'d0; state <= S_HALF_A; end";
     if (options.comments)
-      a << "  // C" << cls + 1 << " \""
-        << table.at(block).to_string() << "\"";
+      a << "  // C" << leaf + 1 << " \"" << l.word.to_string() << "\"";
     return a.str();
   };
 
@@ -107,11 +59,14 @@ std::string generate_decoder_verilog(const CodewordTable& table,
     << "  output wire d_out\n"
     << ");\n\n";
 
-  for (std::size_t s = 0; s < n_rec; ++s)
+  for (std::uint32_t s = 0; s < n_rec; ++s)
     v << "  localparam S_R" << s << " = " << state_bits << "'d" << s << ";\n";
-  v << "  localparam S_HALF_A = " << state_bits << "'d" << s_half_a << ";\n"
-    << "  localparam S_HALF_B = " << state_bits << "'d" << s_half_b << ";\n"
-    << "  localparam S_ACK    = " << state_bits << "'d" << s_ack << ";\n\n"
+  v << "  localparam S_HALF_A = " << state_bits << "'d" << spec.half_a()
+    << ";\n"
+    << "  localparam S_HALF_B = " << state_bits << "'d" << spec.half_b()
+    << ";\n"
+    << "  localparam S_ACK    = " << state_bits << "'d" << spec.ack()
+    << ";\n\n"
     << "  reg [" << state_bits - 1 << ":0] state;\n"
     << "  reg [1:0] plan_a, plan_b;\n"
     << "  reg [" << cnt_bits - 1 << ":0] cnt;\n\n"
@@ -133,17 +88,17 @@ std::string generate_decoder_verilog(const CodewordTable& table,
     << "    end else begin\n"
     << "      case (state)\n";
 
-  for (std::size_t s = 0; s < n_rec; ++s) {
-    const Trie::Node& node = trie.nodes[s];
+  for (std::uint32_t s = 0; s < n_rec; ++s) {
     v << "        S_R" << s << ": if (ate_tick && dec_en) begin\n";
     for (unsigned bit = 0; bit < 2; ++bit) {
+      const DecoderSpec::Step step = spec.step(s, bit == 1, false);
       v << "          if (data_in == 1'b" << bit << ") ";
-      if (node.leaf[bit] >= 0)
-        v << leaf_action(node.leaf[bit]) << "\n";
-      else if (node.child[bit] >= 0)
-        v << "state <= S_R" << node.child[bit] << ";\n";
-      else
+      if (step.leaf != DecoderSpec::kNoLeaf)
+        v << leaf_action(step.leaf) << "\n";
+      else if (step.invalid)
         v << "state <= S_R0;  // unreachable for a complete code\n";
+      else
+        v << "state <= S_R" << step.next << ";\n";
     }
     v << "        end\n";
   }
@@ -165,10 +120,8 @@ std::string generate_decoder_verilog(const CodewordTable& table,
   return v.str();
 }
 
-std::string generate_decoder_testbench(const CodewordTable& table,
-                                       std::size_t k,
+std::string generate_decoder_testbench(std::size_t k,
                                        const std::string& module_name) {
-  (void)table;
   std::ostringstream v;
   v << "// Testbench skeleton for " << module_name << " (K = " << k << ").\n"
     << "// Fill `stream` with a 9C-compressed bit string (ninec compress)\n"

@@ -5,7 +5,8 @@
 // with an `ate_tick` clock-enable marking the cycles on which a serial ATE
 // bit is valid (the standard synchronous realization of the paper's
 // dual-clock scheme: f_scan = p * f_ate means one ate_tick every p SoC
-// cycles). Works for ANY 9C codeword table, so the frequency-directed
+// cycles). The FSM is the codec::DecoderSpec of the codeword table, the
+// one the cycle model runs and synthesis prices, so the frequency-directed
 // variant of Table VII emits just as well.
 //
 // Interface of the generated module:
@@ -41,8 +42,7 @@ std::string generate_decoder_verilog(const codec::CodewordTable& table,
 /// Emits a self-checking testbench skeleton that instantiates the decoder
 /// and plays a compressed stream into it (stream literal supplied by the
 /// caller as a Verilog vector initializer).
-std::string generate_decoder_testbench(const codec::CodewordTable& table,
-                                       std::size_t k,
+std::string generate_decoder_testbench(std::size_t k,
                                        const std::string& module_name);
 
 /// Emits the Fig. 3 multiple-scan wrapper: instantiates the decoder, feeds

@@ -1,6 +1,6 @@
 #include "synth/code_synth.h"
 
-#include <map>
+#include <algorithm>
 #include <stdexcept>
 
 namespace nc::synth {
@@ -11,56 +11,18 @@ std::size_t CodeSynthResult::combinational_gates() const noexcept {
   return g;
 }
 
-namespace {
-
-/// Codeword trie. Node 0 is the root; negative child = leaf index - 1.
-struct Trie {
-  struct Node {
-    int child[2] = {0, 0};  // 0 = absent, >0 = node index, <0 = ~leaf index
-  };
-  std::vector<Node> nodes{1};
-
-  void insert(const codec::Codeword& w, int leaf) {
-    std::size_t at = 0;
-    for (unsigned i = w.length; i-- > 0;) {
-      const unsigned bit = (w.bits >> i) & 1u;
-      // No references into nodes across the emplace_back: it reallocates.
-      const int slot = nodes[at].child[bit];
-      if (i == 0) {
-        if (slot != 0)
-          throw std::invalid_argument("codeword set is not prefix-free");
-        nodes[at].child[bit] = ~leaf;
-      } else {
-        if (slot < 0)
-          throw std::invalid_argument("codeword set is not prefix-free");
-        if (slot == 0) {
-          const int fresh = static_cast<int>(nodes.size());
-          nodes.emplace_back();
-          nodes[at].child[bit] = fresh;
-          at = static_cast<std::size_t>(fresh);
-        } else {
-          at = static_cast<std::size_t>(slot);
-        }
-      }
-    }
-  }
-};
-
-}  // namespace
-
 CodeSynthResult synthesize_code_fsm(const std::vector<CodeLeaf>& leaves,
                                     unsigned plan_symbols) {
   if (leaves.empty()) throw std::invalid_argument("empty code");
   if (plan_symbols < 2)
     throw std::invalid_argument("need at least one fill plan plus data");
 
-  Trie trie;
-  for (std::size_t l = 0; l < leaves.size(); ++l)
-    trie.insert(leaves[l].word, static_cast<int>(l));
+  // The controller alone: the half lengths belong to the counter.
+  const codec::DecoderSpec spec(leaves, 0, 0);
 
   CodeSynthResult result;
-  result.recognition_states = trie.nodes.size();
-  result.total_states = trie.nodes.size() + 3;  // HalfA, HalfB, Ack
+  result.recognition_states = spec.recognition_states();
+  result.total_states = spec.state_count();
   if (result.total_states > 1024)
     throw std::invalid_argument("code too large to synthesize");
   while ((std::size_t{1} << result.state_bits) < result.total_states)
@@ -68,10 +30,8 @@ CodeSynthResult synthesize_code_fsm(const std::vector<CodeLeaf>& leaves,
   while ((1u << result.plan_bits) < plan_symbols) ++result.plan_bits;
   if (result.plan_bits == 0) result.plan_bits = 1;
 
-  // State codes: [0, R) recognition (trie node index), R = HalfA,
-  // R+1 = HalfB, R+2 = Ack.
-  const unsigned r = static_cast<unsigned>(result.recognition_states);
-  const unsigned half_a = r, half_b = r + 1, ack = r + 2;
+  // State codes are the spec's: [0, R) recognition (trie node index),
+  // R = HalfA, R+1 = HalfB, R+2 = Ack.
   const unsigned inputs =
       static_cast<unsigned>(result.state_bits) + 2;  // + data, done
   const std::uint32_t input_count = 1u << inputs;
@@ -87,49 +47,28 @@ CodeSynthResult synthesize_code_fsm(const std::vector<CodeLeaf>& leaves,
     const unsigned state = in & ((1u << result.state_bits) - 1);
     const bool data_bit = (in >> result.state_bits) & 1u;
     const bool done = (in >> (result.state_bits + 1)) & 1u;
-    if (state > ack) {
+    if (state >= spec.state_count()) {
       dontcares.push_back(in);
       plan_dc.push_back(in);
       continue;
     }
 
-    unsigned next;
-    bool latch = false, is_ack = false;
-    unsigned plan_a = 0, plan_b = 0;
-    if (state < r) {
-      const int slot = trie.nodes[state].child[data_bit ? 1 : 0];
-      if (slot < 0) {
-        const CodeLeaf& leaf = leaves[static_cast<std::size_t>(~slot)];
-        next = half_a;
-        latch = true;
-        plan_a = leaf.plan_a;
-        plan_b = leaf.plan_b;
-      } else {
-        // slot == 0 means an unreachable bit sequence (incomplete code):
-        // treat as don't-care by parking in the root.
-        next = slot == 0 ? 0u : static_cast<unsigned>(slot);
-      }
-    } else if (state == half_a) {
-      next = done ? half_b : half_a;
-    } else if (state == half_b) {
-      next = done ? ack : half_b;
-    } else {  // ack
-      next = 0;
-      is_ack = true;
-    }
-
+    // An absent edge (a code with Kraft slack) parks in the root.
+    const codec::DecoderSpec::Step step = spec.step(state, data_bit, done);
     for (std::size_t b = 0; b < n_next; ++b)
-      if ((next >> b) & 1u) ones[b].push_back(in);
-    if (latch) ones[n_next].push_back(in);
-    if (latch) {
+      if ((step.next >> b) & 1u) ones[b].push_back(in);
+    if (step.leaf != codec::DecoderSpec::kNoLeaf) {
+      const CodeLeaf& leaf = spec.leaves()[step.leaf];
+      ones[n_next].push_back(in);
       for (std::size_t b = 0; b < n_plan; ++b) {
-        if ((plan_a >> b) & 1u) ones[n_next + 1 + b].push_back(in);
-        if ((plan_b >> b) & 1u) ones[n_next + 1 + n_plan + b].push_back(in);
+        if ((leaf.plan_a >> b) & 1u) ones[n_next + 1 + b].push_back(in);
+        if ((leaf.plan_b >> b) & 1u)
+          ones[n_next + 1 + n_plan + b].push_back(in);
       }
     } else {
       plan_dc.push_back(in);  // plan outputs matter only while latching
     }
-    if (is_ack) ones[n_next + 1 + 2 * n_plan].push_back(in);
+    if (step.ack) ones[n_next + 1 + 2 * n_plan].push_back(in);
   }
 
   auto add_output = [&](const std::string& name,
@@ -152,33 +91,16 @@ CodeSynthResult synthesize_code_fsm(const std::vector<CodeLeaf>& leaves,
   return result;
 }
 
-std::vector<CodeLeaf> leaves_for_table(const codec::CodewordTable& table) {
-  using codec::BlockClass;
-  std::vector<CodeLeaf> leaves;
-  for (std::size_t c = 0; c < codec::kNumClasses; ++c) {
-    const auto cls = static_cast<BlockClass>(c);
-    CodeLeaf leaf;
-    leaf.word = table.at(cls);
-    // Plans: 0 = fill 0, 1 = fill 1, 2 = data.
-    const auto plan_of = [&](bool left) -> unsigned {
-      switch (cls) {
-        case BlockClass::kC1: return 0;
-        case BlockClass::kC2: return 1;
-        case BlockClass::kC3: return left ? 0u : 1u;
-        case BlockClass::kC4: return left ? 1u : 0u;
-        case BlockClass::kC5: return left ? 0u : 2u;
-        case BlockClass::kC6: return left ? 2u : 0u;
-        case BlockClass::kC7: return left ? 1u : 2u;
-        case BlockClass::kC8: return left ? 2u : 1u;
-        case BlockClass::kC9: return 2;
-      }
-      return 0;
-    };
-    leaf.plan_a = plan_of(true);
-    leaf.plan_b = plan_of(false);
-    leaves.push_back(leaf);
-  }
-  return leaves;
+std::size_t decoder_gate_estimate(std::size_t fsm_gates, std::size_t k,
+                                  std::size_t split) noexcept {
+  const std::size_t left = split == 0 ? k / 2 : split;
+  const std::size_t widest = std::max(left, k - left);
+  std::size_t counter_bits = 0;
+  while ((std::size_t{1} << counter_bits) < widest) ++counter_bits;
+  if (counter_bits == 0) counter_bits = 1;
+  const std::size_t counter = counter_bits * 8 + counter_bits;
+  const std::size_t shifter = widest * 6;
+  return fsm_gates + counter + shifter + 3;
 }
 
 }  // namespace nc::synth

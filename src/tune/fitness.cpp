@@ -1,7 +1,5 @@
 #include "tune/fitness.h"
 
-#include <algorithm>
-
 #include "decomp/timing.h"
 #include "synth/code_synth.h"
 
@@ -70,18 +68,6 @@ std::size_t FitnessEvaluator::fsm_cost(
   return gates;
 }
 
-std::size_t datapath_gate_estimate(std::size_t k, std::size_t split,
-                                   std::size_t fsm_gates) noexcept {
-  // Same pricing as synth::decoder_gate_estimate, with the counter and
-  // shifter sized for the genome's larger half instead of K/2.
-  const std::size_t resolved = split == 0 ? k / 2 : split;
-  const std::size_t widest = std::max(resolved, k - resolved);
-  std::size_t counter_bits = 0;
-  while ((std::size_t{1} << counter_bits) < widest) ++counter_bits;
-  if (counter_bits == 0) counter_bits = 1;
-  return fsm_gates + counter_bits * 8 + counter_bits + widest * 6 + 3;
-}
-
 FitnessReport FitnessEvaluator::evaluate(const TuneGenome& genome) const {
   FitnessReport report;
   try {
@@ -96,7 +82,7 @@ FitnessReport FitnessEvaluator::evaluate(const TuneGenome& genome) const {
         decomp::tat_percent(stats, coder.table(), weights_.p);
     report.fsm_gates = fsm_cost(genome.lengths, coder.table());
     report.datapath_gates =
-        datapath_gate_estimate(genome.k, genome.split, report.fsm_gates);
+        synth::decoder_gate_estimate(report.fsm_gates, genome.k, genome.split);
     report.encoded_bits = stats.encoded_bits;
     report.score = weights_.cr * report.cr_percent +
                    weights_.tat * report.tat_percent -

@@ -87,10 +87,4 @@ class FitnessEvaluator {
   mutable std::map<std::string, std::size_t> fsm_memo_;
 };
 
-/// The full decoder estimate for reporting: the synthesized FSM plus the
-/// same counter/shifter/mux pricing decoder_gate_estimate uses, sized for
-/// the genome's larger half.
-std::size_t datapath_gate_estimate(std::size_t k, std::size_t split,
-                                   std::size_t fsm_gates) noexcept;
-
 }  // namespace nc::tune

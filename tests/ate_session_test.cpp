@@ -82,7 +82,7 @@ TEST(AteSession, CycleAccountingIsDecoderPlusCaptures) {
   const codec::NineCoded coder(cfg.block_size);
   const bits::TritVector td = fx.tests.flatten();
   const bits::TritVector te = coder.encode(td);
-  const SingleScanDecoder decoder(cfg.block_size, cfg.p);
+  const SingleScanDecoder decoder(coder, cfg.p);
   const DecoderTrace trace = decoder.run(te, td.size());
   EXPECT_EQ(r.soc_cycles, trace.soc_cycles + fx.tests.pattern_count());
   EXPECT_EQ(r.ate_bits, te.size());

@@ -188,8 +188,8 @@ TEST(DecodePath, OutcomeAccountsBlocksAndConsumption) {
 }
 
 TEST(DecodePath, CycleDecoderRaisesSameTypedErrors) {
-  const SingleScanDecoder decoder(8, 4);
   const NineCoded coder(8);
+  const SingleScanDecoder decoder(coder, 4);
   std::mt19937 rng(4);
   TritVector td;
   for (int i = 0; i < 256; ++i)

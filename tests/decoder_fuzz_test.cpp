@@ -2,8 +2,8 @@
 //
 // The guarantee under test: for ANY input stream -- random noise, a
 // truncated or padded valid stream, X symbols in arbitrary positions --
-// every decode entry point (decoder FSM engine, single-scan model,
-// multi-scan architectures, software block decoder) terminates within its
+// every decode entry point (single-scan model, multi-scan architectures,
+// software block decoder) terminates within its
 // step budget with either a successful decode or a typed DecodeError.
 // No hang, no crash, and never a silently wrong "success" length.
 #include <gtest/gtest.h>
@@ -13,7 +13,7 @@
 #include "codec/decode_error.h"
 #include "codec/nine_coded.h"
 #include "core/cancel.h"
-#include "decomp/decoder_fsm.h"
+#include "codec/decoder_spec.h"
 #include "decomp/multi_scan.h"
 #include "decomp/single_scan.h"
 
@@ -52,8 +52,8 @@ std::size_t generous_budget(std::size_t original_bits, std::size_t te_bits) {
 
 TEST(DecoderFuzz, RandomStreamsTerminateWithSuccessOrTypedError) {
   std::mt19937_64 rng(2024);
-  const SingleScanDecoder decoder(8, 4);
   const NineCoded coder(8);
+  const SingleScanDecoder decoder(coder, 4);
   std::size_t successes = 0, errors = 0;
   for (std::size_t trial = 0; trial < kTrials; ++trial) {
     // Pure noise essentially never parses to completion, so every tenth
@@ -87,7 +87,7 @@ TEST(DecoderFuzz, RandomStreamsTerminateWithSuccessOrTypedError) {
 TEST(DecoderFuzz, TruncationsOfValidStreamAlwaysTerminate) {
   std::mt19937_64 rng(7);
   const NineCoded coder(8);
-  const SingleScanDecoder decoder(8, 4);
+  const SingleScanDecoder decoder(coder, 4);
   TritVector td;
   std::uniform_int_distribution<int> t(0, 2);
   for (int i = 0; i < 160; ++i)
@@ -112,7 +112,7 @@ TEST(DecoderFuzz, TruncationsOfValidStreamAlwaysTerminate) {
 TEST(DecoderFuzz, AppendedGarbageIsTrailingDataOrTypedError) {
   std::mt19937_64 rng(13);
   const NineCoded coder(8);
-  const SingleScanDecoder decoder(8, 4);
+  const SingleScanDecoder decoder(coder, 4);
   const TritVector td = random_stream(rng, 120, 0.3);
   const TritVector te = coder.encode(td);
   for (std::size_t extra = 1; extra <= 16; ++extra) {
@@ -126,8 +126,8 @@ TEST(DecoderFuzz, AppendedGarbageIsTrailingDataOrTypedError) {
 
 TEST(DecoderFuzz, TinyBudgetRaisesWatchdogExpired) {
   std::mt19937_64 rng(31);
-  const SingleScanDecoder decoder(8, 4);
   const NineCoded coder(8);
+  const SingleScanDecoder decoder(coder, 4);
   const TritVector td = random_stream(rng, 200, 0.2);
   const TritVector te = coder.encode(td);
   ASSERT_GT(te.size(), 4u);
@@ -204,31 +204,43 @@ TEST(DecoderFuzz, MultiScanArchitecturesHonorTheSharedWatchdog) {
   }
 }
 
-// ------------------------------------------------------------ FSM engine
+// ----------------------------------------------------------- the spec
 
-TEST(DecoderFuzz, FsmEngineBoundsZeroProgressSpin) {
-  // The pure transition table cannot loop, but a driver whose counter never
-  // raises Done spins in kHalfA consuming no stream bits. The engine meters
-  // exactly that: the spin trips the budget and freezes.
+TEST(DecoderFuzz, BudgetStopsAnEndlessStreamInFlight) {
+  // A stream of C1 codewords that never reaches the requested length: the
+  // per-transition charge stops it within one charge of the budget, in the
+  // block it was decoding. A C1 block at K=8 costs 12 steps: its codeword
+  // bit, two halves of 4, two Done transitions and the Ack.
+  const NineCoded coder(8);
+  const SingleScanDecoder decoder(coder, 4);
+  const TritVector te = TritVector::from_string(std::string(1000, '0'));
   core::Watchdog watchdog(32);
-  FsmEngine engine(&watchdog);
-  const FsmStep first = engine.step(false, false);  // "0" = C1, recognized
-  ASSERT_TRUE(first.recognized);
-  ASSERT_EQ(engine.state(), FsmState::kHalfA);
-  for (int spin = 0; spin < 1000; ++spin) engine.step(false, false);
-  EXPECT_EQ(engine.trip(), core::WatchdogTrip::kStepBudget);
-  EXPECT_EQ(engine.state(), FsmState::kHalfA);  // frozen, not advanced
-  EXPECT_LE(engine.steps(), 33u);               // bounded work, not 1000
+  try {
+    decoder.run(te, 8 * 1000, &watchdog);
+    FAIL() << "32 steps cannot decode 1000 blocks";
+  } catch (const DecodeError& e) {
+    EXPECT_EQ(e.fault(), DecodeFault::kWatchdogExpired);
+    EXPECT_EQ(e.block_index(), 2u);
+    EXPECT_EQ(e.stream_offset(), 3u);
+  }
+  EXPECT_LE(watchdog.steps(), 32u + 4u);  // bounded work, not 12000 steps
 }
 
-TEST(DecoderFuzz, FsmEngineRandomDrivesNeverEscapeTheStateSpace) {
+TEST(DecoderFuzz, SpecRandomDrivesNeverEscapeTheStateSpace) {
+  // The transition function is total: random inputs from any state of the
+  // paper's table or of a table with Kraft slack stay inside the states.
   std::mt19937_64 rng(123);
   std::bernoulli_distribution bit(0.5);
-  for (std::size_t trial = 0; trial < kTrials; ++trial) {
-    FsmEngine engine;  // unmetered: the table itself must stay total
-    for (int i = 0; i < 64; ++i) {
-      engine.step(bit(rng), bit(rng));
-      EXPECT_LT(static_cast<std::size_t>(engine.state()), kFsmStateCount);
+  const codec::DecoderSpec specs[] = {
+      {codec::CodewordTable::standard(), 8, 4},
+      {codec::CodewordTable::from_lengths({2, 3, 4, 4, 5, 6, 7, 8, 8}), 9, 5}};
+  for (const codec::DecoderSpec& spec : specs) {
+    for (std::size_t trial = 0; trial < kTrials; ++trial) {
+      std::uint32_t state = 0;
+      for (int i = 0; i < 64; ++i) {
+        state = spec.step(state, bit(rng), bit(rng)).next;
+        EXPECT_LT(state, spec.state_count());
+      }
     }
   }
 }

@@ -13,7 +13,6 @@
 #include "circuit/scan_chains.h"
 #include "codec/nine_coded.h"
 #include "decomp/multi_scan.h"
-#include "decomp/programmable.h"
 #include "decomp/single_scan.h"
 #include "power/fill.h"
 #include "sim/fault_sim.h"
@@ -64,7 +63,7 @@ TEST(Integration, CompressDecodeKeepsFaultCoverage) {
   const TritVector te = coder.encode(td);
   EXPECT_LT(te.size(), td.size());  // the cubes must actually compress
 
-  const decomp::SingleScanDecoder decoder(8, 8);
+  const decomp::SingleScanDecoder decoder(coder, 8);
   const decomp::DecoderTrace trace = decoder.run(te, td.size());
   const TestSet decoded = TestSet::unflatten(
       trace.scan_stream, flow.cubes.pattern_count(),
@@ -176,7 +175,7 @@ TEST(Integration, FrequencyDirectedEndToEnd) {
   const TritVector td = flow.cubes.flatten();
   const codec::NineCoded tuned = codec::NineCoded::tuned_for(td, 8);
   const TritVector te = tuned.encode(td);
-  const decomp::ProgrammableDecoder decoder(8, tuned.table(), 8);
+  const decomp::SingleScanDecoder decoder(tuned, 8);
   EXPECT_TRUE(td.covered_by(decoder.run(te, td.size()).scan_stream));
 }
 

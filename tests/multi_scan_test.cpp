@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "decomp/timing.h"
 #include "gen/cube_gen.h"
+#include "gen/profiles.h"
 
 namespace nc::decomp {
 namespace {
@@ -128,6 +130,35 @@ TEST(MultiScan, PinCountTradeoffTable) {
   EXPECT_EQ(c.ate_pins, 4u);
   EXPECT_LT(c.soc_cycles, b.soc_cycles);
   EXPECT_GT(c.decoders, b.decoders);
+}
+
+// Each runner decodes with the controller of the coder it is given, so a
+// frequency-directed table and an odd K with uneven halves run on all three
+// architectures: the chains hold TD, and the single-scan time is the
+// analytic model's for that coder.
+void expect_every_architecture_runs(const NineCoded& coder) {
+  const TestSet td = gen::calibrated_cubes(gen::iscas89_profile("s5378"));
+  const unsigned p = 8;
+  const ArchitectureReport a = run_single_scan(td, coder, p);
+  expect_chains_cover_td(a, td);
+  EXPECT_EQ(a.soc_cycles,
+            comp_soc_cycles(coder.analyze(td.flatten()), coder.table(), p))
+      << coder.name();
+  expect_chains_cover_td(run_multi_scan_single_pin(td, 16, coder, p), td);
+  expect_chains_cover_td(
+      run_multi_scan_banked(td, 2 * coder.block_size(), coder, p), td);
+}
+
+TEST(MultiScan, FrequencyDirectedCoderRunsOnEveryArchitecture) {
+  const TestSet td = gen::calibrated_cubes(gen::iscas89_profile("s5378"));
+  const NineCoded tuned = NineCoded::tuned_for(td.flatten(), 8);
+  ASSERT_NE(tuned.table(), codec::CodewordTable::standard());
+  expect_every_architecture_runs(tuned);
+}
+
+TEST(MultiScan, OddBlockCoderRunsOnEveryArchitecture) {
+  expect_every_architecture_runs(
+      NineCoded(9, codec::CodewordTable::standard(), 4));
 }
 
 }  // namespace

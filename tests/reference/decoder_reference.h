@@ -1,19 +1,19 @@
-// The 9C decoder FSM of Fig. 2 -- the controller shared by every
-// decompressor variant. It is totally independent of K and of the test set:
-// the counter width and the shifter are the only K-dependent pieces.
-//
-// The FSM recognizes the standard prefix-free codeword tree bit-serially
-// (at most five ATE cycles), latches a two-half "plan" (fill-0 / fill-1 /
-// pass-through-data per half), sequences the two halves through the MUX,
-// and raises Ack. This same transition table is what `nc::synth` minimizes
-// to reproduce the paper's gate-count claim.
+// The hand-written Fig. 2 decoder FSM and the cycle model that drove it:
+// the oracle that codec::DecoderSpec and decomp::SingleScanDecoder are held
+// to on the paper's table (decoder_diff_fuzz_test), and the table the
+// synthesized controller is checked against (qm_diff_test, fsm_synth_test).
+// The FSM is totally independent of K and of the test set: it recognizes
+// the standard codeword tree bit-serially (at most five ATE cycles),
+// latches a two-half plan (fill-0 / fill-1 / data per half), sequences the
+// two halves through the MUX and raises Ack. It serves no traffic.
 #pragma once
 
-#include <array>
-#include <cstdint>
+#include <cstddef>
 
+#include "bits/trit_vector.h"
 #include "codec/block_class.h"
 #include "core/cancel.h"
+#include "decomp/single_scan.h"
 
 namespace nc::decomp {
 
@@ -60,31 +60,20 @@ struct FsmStep {
 /// ATE bit; in kHalfA/kHalfB `done` is the counter's terminal count.
 FsmStep fsm_step(FsmState state, bool data_bit, bool done);
 
-/// Stateful FSM driver: owns the current state and meters every transition
-/// against an optional core::Watchdog. The pure transition table above
-/// cannot loop by itself, but the loops *driving* it can -- a model whose
-/// counter never raises Done spins in kHalfA/kHalfB consuming zero stream
-/// bits forever. Every decompressor model drives its FSM through an engine
-/// so that exposure is bounded: each transition charges one watchdog step,
-/// and the caller converts a trip into the typed
-/// codec::DecodeError(kWatchdogExpired) its retry machinery already handles.
+/// Stateful FSM driver: owns the current state and charges every
+/// transition one step of an optional watchdog. Once the watchdog trips,
+/// further transitions keep the state frozen and keep reporting the trip.
 class FsmEngine {
  public:
   /// `watchdog` may be null (unmetered); it is borrowed, not owned.
   explicit FsmEngine(core::Watchdog* watchdog = nullptr) noexcept
       : watchdog_(watchdog) {}
 
-  /// Applies one transition from the current state and advances it.
-  /// Check trip() afterwards: once the watchdog trips, further transitions
-  /// keep the state frozen and keep reporting the trip.
   FsmStep step(bool data_bit, bool done);
 
   FsmState state() const noexcept { return state_; }
   std::size_t steps() const noexcept { return steps_; }
   core::WatchdogTrip trip() const noexcept { return trip_; }
-
-  /// Back to kIdle (pattern-boundary resync); the step meter keeps running.
-  void reset() noexcept { state_ = FsmState::kIdle; }
 
  private:
   FsmState state_ = FsmState::kIdle;
@@ -93,8 +82,23 @@ class FsmEngine {
   core::WatchdogTrip trip_ = core::WatchdogTrip::kNone;
 };
 
-/// The codeword class recognized by a (plan_a, plan_b) pair -- the inverse
-/// mapping, used by tests to tie the FSM back to Table I.
+/// The codeword class recognized by a (plan_a, plan_b) pair.
 codec::BlockClass plan_class(HalfPlan a, HalfPlan b);
+
+/// The single-scan cycle model on the Fig. 2 FSM, for the paper's table at
+/// an even K >= 2: the same trace, watchdog schedule, faults and offsets as
+/// SingleScanDecoder on that table, except that it reports the block index
+/// as the count of codewords recognized so far.
+class ReferenceSingleScanDecoder {
+ public:
+  ReferenceSingleScanDecoder(std::size_t block_size, unsigned p);
+
+  DecoderTrace run(const bits::TritVector& te, std::size_t original_bits,
+                   core::Watchdog* watchdog = nullptr) const;
+
+ private:
+  std::size_t k_;
+  unsigned p_;
+};
 
 }  // namespace nc::decomp

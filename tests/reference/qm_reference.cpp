@@ -7,7 +7,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "decomp/decoder_fsm.h"
+#include "reference/decoder_reference.h"
 
 namespace nc::synth {
 
@@ -229,7 +229,7 @@ CodeSynthResult reference_synthesize_code_fsm(
   return result;
 }
 
-FsmSynthesisResult reference_synthesize_decoder_fsm() {
+CodeSynthResult reference_synthesize_decoder_fsm() {
   // Inputs: [3:0] state code, [4] data_bit, [5] done.
   constexpr unsigned kInputs = 6;
   const char* const names[] = {"next_state0", "next_state1", "next_state2",
@@ -269,8 +269,11 @@ FsmSynthesisResult reference_synthesize_decoder_fsm() {
         !std::binary_search(ones[4].begin(), ones[4].end(), in))
       plan_dc.push_back(in);
 
-  FsmSynthesisResult result;
-  result.state_flops = 4;
+  CodeSynthResult result;
+  result.recognition_states = 8;
+  result.total_states = decomp::kFsmStateCount;
+  result.state_bits = 4;
+  result.plan_bits = 2;
   for (std::size_t i = 0; i < ones.size(); ++i)
     result.outputs.push_back(reference_output(
         names[i], kInputs, ones[i], i >= 5 && i <= 8 ? plan_dc : dontcares));

@@ -26,7 +26,7 @@ bits::TritVector test_cube() {
 
 struct Fixture {
   codec::NineCoded coder{kBlock};
-  SingleScanDecoder decoder{kBlock, 4};
+  SingleScanDecoder decoder{coder, 4};
   bits::TritVector cube = test_cube();
   bits::TritVector te = coder.encode(cube);
   SessionResult session;

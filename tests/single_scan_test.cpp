@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "codec/decode_error.h"
 #include "codec/nine_coded.h"
 #include "decomp/timing.h"
 #include "gen/cube_gen.h"
@@ -14,8 +15,9 @@ using codec::NineCoded;
 using codec::NineCodedStats;
 
 TEST(SingleScanDecoder, RejectsBadParameters) {
-  EXPECT_THROW(SingleScanDecoder(7, 8), std::invalid_argument);
-  EXPECT_THROW(SingleScanDecoder(8, 0), std::invalid_argument);
+  // An odd K needs an explicit split; the coder refuses it without one.
+  EXPECT_THROW(SingleScanDecoder(NineCoded(7), 8), std::invalid_argument);
+  EXPECT_THROW(SingleScanDecoder(NineCoded(8), 0), std::invalid_argument);
 }
 
 TEST(SingleScanDecoder, ReproducesSoftwareDecoder) {
@@ -23,7 +25,7 @@ TEST(SingleScanDecoder, ReproducesSoftwareDecoder) {
   const TritVector td = TritVector::from_string(
       "00000000" "11111111" "0X0001X0" "01XX10X1" "0000XXXX");
   const TritVector te = coder.encode(td);
-  const SingleScanDecoder decoder(8, 4);
+  const SingleScanDecoder decoder(coder, 4);
   const DecoderTrace trace = decoder.run(te, td.size());
   EXPECT_EQ(trace.scan_stream, coder.decode(te, td.size()));
   EXPECT_TRUE(td.covered_by(trace.scan_stream));
@@ -32,7 +34,7 @@ TEST(SingleScanDecoder, ReproducesSoftwareDecoder) {
 TEST(SingleScanDecoder, CountsCodewords) {
   const NineCoded coder(8);
   const TritVector td = TritVector::from_string("00000000" "11111111");
-  const SingleScanDecoder decoder(8, 1);
+  const SingleScanDecoder decoder(coder, 1);
   EXPECT_EQ(decoder.run(coder.encode(td), td.size()).codewords, 2u);
 }
 
@@ -40,7 +42,7 @@ TEST(SingleScanDecoder, UniformBlockTiming) {
   // One C1 block, p=4: 1 codeword bit (4 SoC cycles) + 8 fill bits (8).
   const NineCoded coder(8);
   const TritVector td = TritVector::from_string("00000000");
-  const SingleScanDecoder decoder(8, 4);
+  const SingleScanDecoder decoder(coder, 4);
   const DecoderTrace trace = decoder.run(coder.encode(td), td.size());
   EXPECT_EQ(trace.ate_cycles, 1u);
   EXPECT_EQ(trace.soc_cycles, 1u * 4 + 8u);
@@ -50,7 +52,7 @@ TEST(SingleScanDecoder, MismatchBlockTiming) {
   // C9 block, p=4: 4 codeword bits + 8 payload bits, all at ATE rate.
   const NineCoded coder(8);
   const TritVector td = TritVector::from_string("01100110");
-  const SingleScanDecoder decoder(8, 4);
+  const SingleScanDecoder decoder(coder, 4);
   const DecoderTrace trace = decoder.run(coder.encode(td), td.size());
   EXPECT_EQ(trace.ate_cycles, 12u);
   EXPECT_EQ(trace.soc_cycles, 12u * 4);
@@ -60,10 +62,30 @@ TEST(SingleScanDecoder, MixedBlockTiming) {
   // C5 block, p=2: 5 codeword bits + 4 payload at ATE rate, 4 fill at SoC.
   const NineCoded coder(8);
   const TritVector td = TritVector::from_string("000001X0");
-  const SingleScanDecoder decoder(8, 2);
+  const SingleScanDecoder decoder(coder, 2);
   const DecoderTrace trace = decoder.run(coder.encode(td), td.size());
   EXPECT_EQ(trace.ate_cycles, 9u);
   EXPECT_EQ(trace.soc_cycles, 9u * 2 + 4u);
+}
+
+TEST(SingleScanDecoder, FaultsNameTheBlockInFlight) {
+  // Two C9 blocks at K=8: every cut inside block 0 -- its codeword or its
+  // payload -- is block 0's fault, as decode_checked numbers blocks.
+  const NineCoded coder(8);
+  const TritVector td = TritVector::from_string("01100110" "10011001");
+  const TritVector te = coder.encode(td);
+  ASSERT_EQ(te.size(), 2u * (4 + 8));
+  const SingleScanDecoder decoder(coder, 4);
+  for (std::size_t cut = 0; cut < te.size(); ++cut) {
+    try {
+      decoder.run(te.slice(0, cut), td.size());
+      ADD_FAILURE() << "cut " << cut << " decoded";
+    } catch (const codec::DecodeError& e) {
+      EXPECT_EQ(e.fault(), codec::DecodeFault::kTruncated) << cut;
+      EXPECT_EQ(e.block_index(), cut < 12 ? 0u : 1u) << cut;
+      EXPECT_EQ(e.stream_offset(), cut) << cut;  // where the reader ran dry
+    }
+  }
 }
 
 class TimingSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
@@ -81,8 +103,7 @@ TEST_P(TimingSweep, SimulatorMatchesAnalyticModel) {
   TritVector te;
   const NineCodedStats stats = coder.analyze(td, &te);
 
-  const SingleScanDecoder decoder(static_cast<std::size_t>(k),
-                                  static_cast<unsigned>(p));
+  const SingleScanDecoder decoder(coder, static_cast<unsigned>(p));
   const DecoderTrace trace = decoder.run(te, td.size());
 
   EXPECT_EQ(trace.soc_cycles,

@@ -11,7 +11,7 @@
 #include "codec/nine_coded.h"
 #include "codec/pattern_codec.h"
 #include "decomp/multi_scan.h"
-#include "decomp/programmable.h"
+#include "decomp/single_scan.h"
 #include "gen/cube_gen.h"
 
 namespace nc {
@@ -129,7 +129,7 @@ TEST_P(RandomTableSweep, ProgrammableDecoderMatchesSoftware) {
   const codec::NineCoded coder(8, table);
   const TritVector td = random_stream(rng(), 2000, 0.75);
   const TritVector te = coder.encode(td);
-  const decomp::ProgrammableDecoder decoder(8, table, 2);
+  const decomp::SingleScanDecoder decoder(coder, 2);
   const auto trace = decoder.run(te, td.size());
   EXPECT_EQ(trace.scan_stream, coder.decode(te, td.size()));
   EXPECT_TRUE(td.covered_by(trace.scan_stream));

@@ -49,8 +49,8 @@ FitnessReport reencode_oracle(const bits::TestSet& td,
     report.fsm_gates =
         synth::synthesize_code_fsm(synth::leaves_for_table(coder.table()), 3)
             .total_gate_equivalents();
-    report.datapath_gates =
-        datapath_gate_estimate(genome.k, genome.split, report.fsm_gates);
+    report.datapath_gates = synth::decoder_gate_estimate(
+        report.fsm_gates, genome.k, genome.split);
     report.encoded_bits = stats.encoded_bits;
     report.score = weights.cr * report.cr_percent +
                    weights.tat * report.tat_percent -

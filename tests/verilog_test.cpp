@@ -83,7 +83,7 @@ TEST(Verilog, CustomModuleName) {
 
 TEST(Verilog, TestbenchInstantiatesDut) {
   const std::string tb =
-      generate_decoder_testbench(CodewordTable::standard(), 8, "ninec_decoder");
+      generate_decoder_testbench(8, "ninec_decoder");
   EXPECT_NE(tb.find("module ninec_decoder_tb;"), std::string::npos);
   EXPECT_NE(tb.find("ninec_decoder dut ("), std::string::npos);
   EXPECT_TRUE(verilog_tokens_balanced(tb));

@@ -794,7 +794,7 @@ int cmd_rtl(const Args& args) {
   if (args.has("testbench")) {
     std::ofstream tb(args.get("testbench"));
     if (!tb) throw std::runtime_error("cannot write " + args.get("testbench"));
-    tb << nc::rtl::generate_decoder_testbench(table, k, options.module_name);
+    tb << nc::rtl::generate_decoder_testbench(k, options.module_name);
     std::cout << "wrote testbench -> " << args.get("testbench") << '\n';
   }
   return 0;
